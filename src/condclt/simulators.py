@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -31,9 +30,13 @@ class OccupancyProfile:
     tail_balls: int             # balls sitting in tail boxes
 
     def validate(self) -> None:
-        assert int(self.counts.sum()) + self.tail_boxes == self.n
+        boxes = int(self.counts.sum()) + self.tail_boxes
+        if boxes != self.n:
+            raise ValueError(f"sum(counts) + tail_boxes = {boxes} != n = {self.n}")
         ks = np.arange(len(self.counts))
-        assert int((ks * self.counts).sum()) + self.tail_balls == self.m
+        balls = int((ks * self.counts).sum()) + self.tail_balls
+        if balls != self.m:
+            raise ValueError(f"sum(j * counts[j]) + tail_balls = {balls} != m = {self.m}")
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,14 @@ class DegreeCounts:
     tail_degree_sum: int
 
     def validate(self) -> None:
-        assert int(self.counts.sum()) + self.tail_vertices == self.n
+        vertices = int(self.counts.sum()) + self.tail_vertices
+        if vertices != self.n:
+            raise ValueError(f"sum(counts) + tail_vertices = {vertices} != n = {self.n}")
         ks = np.arange(len(self.counts))
-        assert int((ks * self.counts).sum()) + self.tail_degree_sum == 2 * self.m
+        degrees = int((ks * self.counts).sum()) + self.tail_degree_sum
+        if degrees != 2 * self.m:
+            raise ValueError(f"sum(k * counts[k]) + tail_degree_sum = {degrees} "
+                             f"!= 2m = {2 * self.m}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +68,11 @@ class SpacingsSample:
     s: np.ndarray
 
     def validate(self) -> None:
-        assert np.all(self.s > 0.0)
-        assert abs(self.s.sum() - 1.0) <= 1e-12
+        if not np.all(self.s > 0.0):
+            raise ValueError(f"min(s) = {self.s.min()} is not > 0")
+        err = abs(self.s.sum() - 1.0)
+        if not err <= 1e-12:
+            raise ValueError(f"|sum(s) - 1| = {err:.3g} > 1e-12")
 
 
 def _bucket(values: np.ndarray, total_units: int, max_k: int):
@@ -105,18 +116,26 @@ def sample_poissonized_allocation(n: int, lam: float, rng: np.random.Generator,
                             tail_balls=tail_balls), m
 
 
-@lru_cache(maxsize=8)
-def _pair_row_starts(n: int) -> np.ndarray:
-    """row_starts[i] = linear index of pair (i, i+1) in the lexicographic
-    enumeration of the C(n,2) vertex pairs."""
-    return np.concatenate(([0], np.cumsum(n - 1 - np.arange(n - 1)))).astype(np.int64)
-
-
 def _decode_pairs(n: int, idx: np.ndarray):
-    starts = _pair_row_starts(n)
-    i = np.searchsorted(starts, idx, side="right") - 1
-    j = idx - starts[i] + i + 1
-    return i, j
+    """Invert the lexicographic enumeration of the C(n,2) vertex pairs.
+
+    Row i (pairs (i, i+1..n-1)) starts at row_start(i) = i(2n-i-1)/2; the row
+    of idx is the floor of the smaller root of row_start(i) = idx, corrected by
+    one integer step either way for float rounding of the square root."""
+    def row_start(i):
+        return i * (2 * n - i - 1) // 2
+
+    b = 2 * n - 1
+    i = np.floor((b - np.sqrt((b * b - 8 * idx).astype(np.float64))) / 2).astype(np.int64)
+    i -= row_start(i) > idx
+    i += row_start(i + 1) <= idx
+    return i, idx - row_start(i) + i + 1
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-d integer array: sort, keep each run's first element."""
+    s = np.sort(a)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,7 +153,7 @@ def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
     pool = np.empty(0, dtype=np.int64)
     while pool.size < m:
         draw = rng.integers(0, c, size=max(2 * (m - pool.size) + 16, 64))
-        pool = np.unique(np.concatenate([pool, draw]))
+        pool = _sorted_unique(np.concatenate([pool, draw]))
     return pool[rng.permutation(pool.size)[:m]]
 
 

@@ -146,6 +146,119 @@ class TestSampleGnm:
         dc.validate()
 
 
+def _reference_edge_indices(n, m, rng):
+    """The np.unique formulation of the edge draw: the rejection branch of
+    sim._sample_edge_indices must reproduce it byte for byte, rng state
+    included.  Returns the indices and the number of pool passes."""
+    c = n * (n - 1) // 2
+    if m > 0.6 * c:
+        return rng.permutation(c)[:m].astype(np.int64), 0
+    pool = np.empty(0, dtype=np.int64)
+    passes = 0
+    while pool.size < m:
+        draw = rng.integers(0, c, size=max(2 * (m - pool.size) + 16, 64))
+        pool = np.unique(np.concatenate([pool, draw]))
+        passes += 1
+    return pool[rng.permutation(pool.size)[:m]], passes
+
+
+def _row_start(n, i):
+    return i * (2 * n - i - 1) // 2
+
+
+class TestEdgeDraw:
+    @pytest.mark.parametrize("n,m", [(2000, 2000), (50, 700), (6, 14), (2, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_matches_reference(self, n, m, seed):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        idx = sim._sample_edge_indices(n, m, rng)
+        ref, _ = _reference_edge_indices(n, m, ref_rng)
+        assert idx.dtype == ref.dtype
+        assert idx.tobytes() == ref.tobytes()
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+    # At n = 10, m = 27 = 0.6 C(10,2), the first pass of 70 draws yields fewer
+    # than 27 distinct indices only rarely; these seeds are such draws.
+    @pytest.mark.parametrize("seed", [43539, 219043, 865137])
+    def test_matches_reference_over_several_passes(self, seed):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        idx = sim._sample_edge_indices(10, 27, rng)
+        ref, passes = _reference_edge_indices(10, 27, ref_rng)
+        assert passes >= 2
+        assert idx.tobytes() == ref.tobytes()
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+    def test_draw_is_a_subset(self):
+        idx = sim._sample_edge_indices(2000, 2000, rng_for(5))
+        assert np.unique(idx).size == 2000
+        assert idx.min() >= 0 and idx.max() < 2000 * 1999 // 2
+
+
+class TestDecodePairs:
+    @pytest.mark.parametrize("n", list(range(1, 61)) + [2000])
+    def test_matches_triu_indices(self, n):
+        i, j = sim._decode_pairs(n, np.arange(n * (n - 1) // 2, dtype=np.int64))
+        ti, tj = np.triu_indices(n, 1)
+        assert np.array_equal(i, ti) and np.array_equal(j, tj)
+
+    # Beyond n ~ 5e7 the discriminant exceeds 2**53 and rounds in float64, so at
+    # n = 1e9 the row before each row start decodes one row too high before the
+    # integer fix-up.
+    @pytest.mark.parametrize("n", [10**6, 3 * 10**6, 10**9])
+    def test_round_trip_large_n(self, n):
+        c = n * (n - 1) // 2
+        rows = np.array([1, 2, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n - 2],
+                        dtype=np.int64)
+        starts = _row_start(n, rows)
+        edges = np.concatenate([starts - 1, starts, starts + 1, [0, 1, c - 2]])
+        edges = edges[edges < c]    # row n-2 holds the single index c-1
+        idx = np.concatenate([edges, rng_for(n).integers(0, c, size=100_000)])
+        i, j = sim._decode_pairs(n, idx)
+        assert np.all((0 <= i) & (i < j) & (j < n))
+        assert np.array_equal(_row_start(n, i) + (j - i - 1), idx)
+
+
+class TestValidate:
+    def test_occupancy_box_count(self):
+        prof = sim.OccupancyProfile(n=5, m=2, counts=np.array([3, 2]),
+                                    tail_boxes=1, tail_balls=0)
+        with pytest.raises(ValueError, match="tail_boxes"):
+            prof.validate()
+
+    def test_occupancy_ball_count(self):
+        prof = sim.OccupancyProfile(n=5, m=3, counts=np.array([3, 2]),
+                                    tail_boxes=0, tail_balls=0)
+        with pytest.raises(ValueError, match="tail_balls"):
+            prof.validate()
+
+    def test_degree_vertex_count(self):
+        dc = sim.DegreeCounts(n=4, m=1, counts=np.array([2, 2]),
+                              tail_vertices=1, tail_degree_sum=0)
+        with pytest.raises(ValueError, match="tail_vertices"):
+            dc.validate()
+
+    def test_degree_sum(self):
+        dc = sim.DegreeCounts(n=4, m=2, counts=np.array([2, 2]),
+                              tail_vertices=0, tail_degree_sum=0)
+        with pytest.raises(ValueError, match="2m"):
+            dc.validate()
+
+    def test_spacings_nonpositive(self):
+        with pytest.raises(ValueError, match="min"):
+            sim.SpacingsSample(n=2, s=np.array([1.0, 0.0])).validate()
+
+    def test_spacings_sum(self):
+        with pytest.raises(ValueError, match="sum"):
+            sim.SpacingsSample(n=2, s=np.array([0.5, 0.6])).validate()
+
+    def test_consistent_instances_pass(self):
+        sim.OccupancyProfile(n=5, m=2, counts=np.array([3, 2]),
+                             tail_boxes=0, tail_balls=0).validate()
+        sim.DegreeCounts(n=4, m=1, counts=np.array([2, 2]),
+                         tail_vertices=0, tail_degree_sum=0).validate()
+        sim.SpacingsSample(n=2, s=np.array([0.25, 0.75])).validate()
+
+
 class TestDegreeCountsFromEdges:
     def test_triangle(self):
         dc = sim.degree_counts_from_edges(3, [(0, 1), (0, 2), (1, 2)])
