@@ -251,13 +251,6 @@ class TestValidate:
         with pytest.raises(ValueError, match="sum"):
             sim.SpacingsSample(n=2, s=np.array([0.5, 0.6])).validate()
 
-    def test_consistent_instances_pass(self):
-        sim.OccupancyProfile(n=5, m=2, counts=np.array([3, 2]),
-                             tail_boxes=0, tail_balls=0).validate()
-        sim.DegreeCounts(n=4, m=1, counts=np.array([2, 2]),
-                         tail_vertices=0, tail_degree_sum=0).validate()
-        sim.SpacingsSample(n=2, s=np.array([0.25, 0.75])).validate()
-
 
 class TestDegreeCountsFromEdges:
     def test_triangle(self):
