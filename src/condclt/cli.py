@@ -152,7 +152,7 @@ def _theory_for(model: str, args) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(args.max_k + 1), mat
 
 
-def _run_sampling_experiment(args) -> mc_engine.VerificationReport:
+def _sampling_params(args) -> dict:
     model = args.experiment
     params = {"n": args.n}
     if model == "alloc" or model == "gnm":
@@ -163,6 +163,11 @@ def _run_sampling_experiment(args) -> mc_engine.VerificationReport:
         params["max_k"] = args.max_k
     else:
         params["a"] = args.a
+    return params
+
+
+def _run_sampling_experiment(args, params: dict) -> mc_engine.VerificationReport:
+    model = args.experiment
     run = mc_engine.run_experiment(model, params, args.reps, args.seed,
                                    workers=args.workers, dump_path=args.dump)
     theory_mean, theory_cov = _theory_for(model, args)
@@ -286,9 +291,17 @@ def main(argv=None) -> int:
         print(f"condclt: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
+    if args.experiment in mc_engine.EXPERIMENT_MODELS:
+        params = _sampling_params(args)
+        try:
+            mc_engine.check_params(args.experiment, params, args.seed)
+        except ValueError as exc:
+            print(f"condclt: config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG_ERROR
+
     try:
         if args.experiment in mc_engine.EXPERIMENT_MODELS:
-            report = _run_sampling_experiment(args)
+            report = _run_sampling_experiment(args, params)
         elif args.experiment == "transfer":
             report = _run_transfer(args)
         elif args.experiment == "monotone":

@@ -1,10 +1,10 @@
 """Replicated Monte Carlo harness.
 
-Each replicate draws one finite-n sample, standardizes its count statistic
-by the centering/scaling sequences appropriate to the model, and feeds the
-result into mergeable moment accumulators.  Per-replicate RNG streams are
-derived deterministically from (seed, replicate index), so the estimates do
-not depend on the worker count or on how replicates are chunked.
+Each replicate draws one finite-n count vector; the raw count matrix is then
+standardized by the centering/scaling sequences appropriate to the model and
+fed, one block of rows per batch, into mergeable moment accumulators.
+Replicate i draws from ``default_rng(SeedSequence([seed, i]))``, so the
+estimates do not depend on the worker count or on how replicates are chunked.
 """
 
 from __future__ import annotations
@@ -24,29 +24,41 @@ EXPERIMENT_MODELS = ("alloc", "gnp", "gnm", "spacings")
 DEFAULT_Z_GATE = 4.0
 DEFAULT_KS_GATE = 0.05
 DEFAULT_N_BATCHES = 20
+STREAM_BLOCK = 1024         # replicate streams derived together
+
+# SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx and
+# pcg64.h).  numpy keeps both algorithms stream-stable across versions.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
 class StandardizationSpec:
-    """Affine standardization (x - b_n)/a_n with the conditioning target xi."""
+    """Affine standardization (x - b_n)/a_n of a count vector."""
 
     a_n: float
     b_n: np.ndarray
-    c_n: float
-    d_n: float
-    y_n: float
-    xi: float
 
     def __post_init__(self):
-        assert self.a_n > 0 and self.c_n > 0
+        if not self.a_n > 0:
+            raise ValueError(f"a_n must be positive, got {self.a_n}")
         object.__setattr__(self, "b_n", np.asarray(self.b_n, dtype=float))
 
 
 def standardize(x, spec: StandardizationSpec) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != spec.b_n.shape:
-        raise DimensionMismatch(f"x shape {x.shape} != b_n shape {spec.b_n.shape}")
-    return (x - spec.b_n) / spec.a_n
+    """(x - b_n)/a_n for one count vector or an (R, dim) matrix of count rows."""
+    shape = np.shape(x)
+    if len(shape) not in (1, 2) or shape[-1:] != spec.b_n.shape:
+        raise DimensionMismatch(f"x shape {shape} does not end in b_n shape "
+                                f"{spec.b_n.shape}")
+    out = np.subtract(x, spec.b_n, dtype=float)
+    out /= spec.a_n
+    return out
 
 
 class MomentAccumulator:
@@ -64,6 +76,25 @@ class MomentAccumulator:
         self.comoment = np.zeros((dim, dim))
         self.third_diag = np.zeros(dim)
         self.fourth_diag = np.zeros(dim)
+
+    @classmethod
+    def from_block(cls, rows) -> "MomentAccumulator":
+        """The accumulator of a (count, dim) block of rows, in one vectorized
+        two-pass step instead of count calls to update."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2:
+            raise DimensionMismatch(f"block shape {rows.shape}, expected (count, dim)")
+        out = cls(rows.shape[1])
+        if len(rows) == 0:
+            return out
+        out.count = len(rows)
+        out.mean = rows.mean(axis=0)
+        dev = rows - out.mean
+        out.comoment = dev.T @ dev
+        sq = dev * dev
+        out.third_diag = (sq * dev).sum(axis=0)
+        out.fourth_diag = (sq * sq).sum(axis=0)
+        return out
 
     def update(self, x) -> None:
         x = np.asarray(x, dtype=float)
@@ -146,65 +177,166 @@ def model_lambda_n(model: str, params: dict) -> float:
 
 
 def standardization_for(model: str, params: dict) -> StandardizationSpec:
-    """Centering/scaling sequences for the implemented experiments (xi = 0)."""
+    """Centering/scaling sequences for the implemented experiments."""
     n = params["n"]
     if model == "spacings":
         b = np.array([n * math.exp(-params["a"])])
-        d_n = y_n = float(n)
     else:
         lam_n = model_lambda_n(model, params)
-        max_k = params["max_k"]
-        b = n * np.array([limit_theory.poisson_pmf(lam_n, k) for k in range(max_k + 1)])
-        d_n = y_n = float(params["m"]) if model in ("alloc", "gnm") else lam_n * n / 2
-    return StandardizationSpec(a_n=math.sqrt(n), b_n=b, c_n=math.sqrt(n),
-                               d_n=d_n, y_n=y_n, xi=0.0)
+        b = n * np.array([limit_theory.poisson_pmf(lam_n, k)
+                          for k in range(params["max_k"] + 1)])
+    return StandardizationSpec(a_n=math.sqrt(n), b_n=b)
 
 
-def _raw_statistic(model: str, params: dict, rng: np.random.Generator) -> np.ndarray:
-    if model == "alloc":
-        n, m, max_k = params["n"], params["m"], params["max_k"]
-        prof = simulators.sample_allocation(n, m, rng,
-                                            max_k=max(max_k, simulators.DEFAULT_MAX_K))
-        return prof.counts[: max_k + 1]
-    if model == "gnp":
-        n, p, max_k = params["n"], params["p"], params["max_k"]
-        dc = simulators.sample_gnp(n, p, rng, max_k=max(max_k, simulators.DEFAULT_MAX_K))
-        return dc.counts[: max_k + 1]
-    if model == "gnm":
-        n, m, max_k = params["n"], params["m"], params["max_k"]
-        dc = simulators.sample_gnm(n, m, rng, max_k=max(max_k, simulators.DEFAULT_MAX_K))
-        return dc.counts[: max_k + 1]
-    if model == "spacings":
-        n, a = params["n"], params["a"]
-        sample = simulators.sample_spacings(n, rng)
-        return np.array([simulators.exceedance_count(sample, a)])
-    raise ValueError(f"unknown model {model!r}; expected one of {EXPERIMENT_MODELS}")
-
-
-def _replicate_vector(model: str, params: dict, rng: np.random.Generator,
-                      spec: StandardizationSpec | None = None) -> np.ndarray:
-    if spec is None:
-        spec = standardization_for(model, params)
-    return standardize(_raw_statistic(model, params, rng), spec)
+def check_params(model: str, params: dict, seed: int) -> None:
+    """Raise ValueError for parameters that no experiment can be run with."""
+    if model not in EXPERIMENT_MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {EXPERIMENT_MODELS}")
+    n = params["n"]
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if model in ("alloc", "gnm") and params["m"] < 0:
+        raise ValueError(f"m must be >= 0, got {params['m']}")
+    if model == "gnm" and params["m"] > n * (n - 1) // 2:
+        raise ValueError(f"m = {params['m']} exceeds C(n,2) = {n * (n - 1) // 2}")
+    if model == "gnp" and not 0.0 <= params["p"] <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {params['p']}")
+    if model == "spacings" and not params["a"] > 0.0:
+        raise ValueError(f"a must be positive, got {params['a']}")
+    if model != "spacings" and params["max_k"] < 0:
+        raise ValueError(f"max_k must be >= 0, got {params['max_k']}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def replicate_dim(model: str, params: dict) -> int:
     return 1 if model == "spacings" else params["max_k"] + 1
 
 
-def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int) -> np.ndarray:
-    spec = standardization_for(model, params)
-    out = np.empty((hi - lo, replicate_dim(model, params)))
-    for i in range(lo, hi):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        out[i - lo] = _replicate_vector(model, params, rng, spec)
-    return out
+def _uint32_words(x: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence splits a non-negative int into."""
+    if x < 0:
+        raise ValueError(f"seed entropy must be >= 0, got {x}")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _generate_state(entropy: np.ndarray) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(4, uint64) for each row of a
+    (B, L) uint32 entropy matrix, as four (B,) uint64 columns.
+
+    numpy's mix_entropy and generate_state run one hash per step with a
+    constant that depends only on the step number, so every row follows the
+    same schedule and the whole block is hashed column by column."""
+    const = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _HASH_MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return r ^ (r >> 16)
+
+    n_words = entropy.shape[1]
+    zero = np.zeros(len(entropy), dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < n_words else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, n_words):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+
+    const = _HASH_INIT_B
+    halves = []
+    for k in range(8):
+        value = pool[k % _POOL_SIZE] ^ const
+        const = const * _HASH_MULT_B & _MASK32
+        value = value * const
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    return [halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)]
+
+
+def _stream_states(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of default_rng(SeedSequence([seed, i])) for each
+    lo <= i < hi, derived for the whole range at once."""
+    words = _uint32_words(seed)
+    states = []
+    while lo < hi:
+        # indices with the same word count share one entropy matrix
+        n_index_words = max(1, (lo.bit_length() + 31) // 32)
+        end = min(hi, 1 << (32 * n_index_words))
+        idx = np.arange(lo, end, dtype=np.uint64)
+        entropy = np.empty((end - lo, len(words) + n_index_words), dtype=np.uint32)
+        entropy[:, :len(words)] = words
+        for k in range(n_index_words):
+            entropy[:, len(words) + k] = idx >> np.uint64(32 * k) & _MASK32
+        s_hi, s_lo, q_hi, q_lo = (w.astype(object) for w in _generate_state(entropy))
+        # pcg_setseq_128_srandom_r in exact 128-bit integers
+        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states += zip(state.tolist(), inc.tolist())
+        lo = end
+    return states
+
+
+def _replicate_rngs(seed: int, lo: int, hi: int):
+    """Yield, for each lo <= i < hi, a Generator in the state of
+    default_rng(SeedSequence([seed, i])).
+
+    One Generator is reloaded each time (its 32-bit buffer cleared), so a
+    yielded Generator is valid only until the next one is drawn."""
+    bitgen = np.random.PCG64()
+    rng = np.random.Generator(bitgen)
+    state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+    for block_lo in range(lo, hi, STREAM_BLOCK):
+        for s, inc in _stream_states(seed, block_lo, min(block_lo + STREAM_BLOCK, hi)):
+            state["state"] = {"state": s, "inc": inc}
+            bitgen.state = state
+            yield rng
+
+
+def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
+    """Raw count rows lo..hi-1, each drawn by the model's public sampler from
+    its own stream; returns the rows, the stream-derivation time and the total
+    time."""
+    start = time.perf_counter()
+    dim = replicate_dim(model, params)
+    n = params["n"]
+    if model == "spacings":
+        def draw(rng):
+            return simulators.exceedance_count(simulators.sample_spacings(n, rng),
+                                               params["a"])
+    else:
+        sampler = {"alloc": simulators.sample_allocation, "gnp": simulators.sample_gnp,
+                   "gnm": simulators.sample_gnm}[model]
+        size = params["p"] if model == "gnp" else params["m"]
+        max_k = max(params["max_k"], simulators.DEFAULT_MAX_K)
+
+        def draw(rng):
+            return sampler(n, size, rng, max_k=max_k).counts[:dim]
+
+    out = np.empty((hi - lo, dim), dtype=np.int64)
+    sampling_s = 0.0
+    for row, rng in enumerate(_replicate_rngs(seed, lo, hi)):
+        t = time.perf_counter()
+        out[row] = draw(rng)
+        sampling_s += time.perf_counter() - t
+    elapsed = time.perf_counter() - start
+    return out, elapsed - sampling_s, elapsed
 
 
 @dataclass
 class ExperimentRun:
-    """Replicated experiment output: total and per-batch accumulators plus the
-    raw standardized sample matrix (reps x dim)."""
+    """Replicated experiment output: total and per-batch accumulators, the
+    standardized sample matrix (reps x dim) and the wall time of each phase."""
 
     model: str
     params: dict
@@ -214,6 +346,7 @@ class ExperimentRun:
     batch_accs: list[MomentAccumulator]
     samples: np.ndarray
     wall_time: float = 0.0
+    timings: dict = field(default_factory=dict)
 
 
 def run_experiment(model: str, params: dict, reps: int, seed: int,
@@ -223,15 +356,17 @@ def run_experiment(model: str, params: dict, reps: int, seed: int,
 
     The worker count only affects scheduling; samples are placed by replicate
     index and accumulated in index order, so results are identical for any
-    number of workers.
+    number of workers.  ``timings`` splits the wall time into streams_s,
+    sampling_s, standardize_s, accumulate_s and dump_s; the first two share
+    the sampling phase in the ratio the workers measured.
     """
+    check_params(model, params, seed)
     if reps < 2:
         raise InsufficientReplicates(f"reps must be >= 2, got {reps}")
-    start = time.perf_counter()
-    dim = replicate_dim(model, params)
-    samples = np.empty((reps, dim))
+    clock = time.perf_counter
+    start = clock()
     if workers <= 1:
-        samples[:] = _compute_chunk(model, params, seed, 0, reps)
+        chunks = [_compute_chunk(model, params, seed, 0, reps)]
     else:
         n_chunks = min(max(4 * workers, 1), reps)
         bounds = np.linspace(0, reps, n_chunks + 1, dtype=int)
@@ -241,29 +376,32 @@ def run_experiment(model: str, params: dict, reps: int, seed: int,
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
-            pos = 0
-            for fut in futures:
-                block = fut.result()
-                samples[pos: pos + len(block)] = block
-                pos += len(block)
-    n_batches = min(n_batches, reps)
-    batch_bounds = np.linspace(0, reps, n_batches + 1, dtype=int)
-    batch_accs = []
-    for lo, hi in zip(batch_bounds[:-1], batch_bounds[1:]):
-        acc = MomentAccumulator(dim)
-        for row in samples[lo:hi]:
-            acc.update(row)
-        batch_accs.append(acc)
+            chunks = [fut.result() for fut in futures]
+    raw = chunks[0][0] if len(chunks) == 1 else np.concatenate([c[0] for c in chunks])
+    sampled = clock()
+    # The workers' stream share of the sampling phase, as a reading between
+    # start and sampled: every timing is then a difference of two readings, so
+    # the timings add up to wall_time exactly.
+    split = start + (sampled - start) * (sum(chunk[1] for chunk in chunks)
+                                         / sum(chunk[2] for chunk in chunks))
+    samples = standardize(raw, standardization_for(model, params))
+    standardized = clock()
+    batch_bounds = np.linspace(0, reps, min(n_batches, reps) + 1, dtype=int)
+    batch_accs = [MomentAccumulator.from_block(samples[lo:hi])
+                  for lo, hi in zip(batch_bounds[:-1], batch_bounds[1:])]
     total = batch_accs[0]
     for acc in batch_accs[1:]:
         total = total.merge(acc)
+    accumulated = clock()
     if dump_path is not None:
-        spec = standardization_for(model, params)
-        raw = np.rint(samples * spec.a_n + spec.b_n).astype(np.int64)
         simulators.dump_count_matrix(dump_path, raw)
+    end = clock()
+    timings = {"streams_s": split - start, "sampling_s": sampled - split,
+               "standardize_s": standardized - sampled,
+               "accumulate_s": accumulated - standardized, "dump_s": end - accumulated}
     return ExperimentRun(model=model, params=dict(params), reps=reps, seed=seed,
                          acc=total, batch_accs=batch_accs, samples=samples,
-                         wall_time=time.perf_counter() - start)
+                         wall_time=end - start, timings=timings)
 
 
 @dataclass

@@ -121,15 +121,28 @@ def _decode_pairs(n: int, idx: np.ndarray):
 
     Row i (pairs (i, i+1..n-1)) starts at row_start(i) = i(2n-i-1)/2; the row
     of idx is the floor of the smaller root of row_start(i) = idx, corrected by
-    one integer step either way for float rounding of the square root."""
-    def row_start(i):
-        return i * (2 * n - i - 1) // 2
-
+    one integer step either way for float rounding of the square root.  The
+    discriminant is exact in int64 and rounded to float once; the root is
+    non-negative, so truncation is its floor."""
     b = 2 * n - 1
-    i = np.floor((b - np.sqrt((b * b - 8 * idx).astype(np.float64))) / 2).astype(np.int64)
-    i -= row_start(i) > idx
-    i += row_start(i + 1) <= idx
-    return i, idx - row_start(i) + i + 1
+    disc = idx * -8
+    disc += b * b
+    root = np.sqrt(disc)
+    np.subtract(b, root, out=root)
+    root /= 2
+    i = root.astype(np.int64)
+    start = (b - i) * i >> 1                # row_start(i)
+    high = start > idx
+    if high.any():                          # rounded one row too high
+        i -= high
+        start = (b - i) * i >> 1
+    j = idx - start
+    j += i + 1
+    low = j >= n
+    if low.any():                           # rounded one row too low
+        i += low
+        j = idx - ((b - i) * i >> 1) + i + 1
+    return i, j
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -149,12 +162,18 @@ def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
         return rng.permutation(c)[:m].astype(np.int64)
     # Rejection: grow a unique pool, then pick m of it at random.  The whole
     # procedure is equivariant under index permutations, so the result is a
-    # uniform m-subset.
-    pool = np.empty(0, dtype=np.int64)
+    # uniform m-subset.  Below 2**32 numpy draws int64 and uint32 through the
+    # same 32-bit path, so uint32 keeps the stream and halves the sort.
+    # shuffle makes the same calls as permutation(pool.size), and is fastest
+    # on 8-byte items.
+    dtype = np.uint32 if c <= 1 << 32 else np.int64
+    pool = np.empty(0, dtype=dtype)
     while pool.size < m:
-        draw = rng.integers(0, c, size=max(2 * (m - pool.size) + 16, 64))
+        draw = rng.integers(0, c, size=max(2 * (m - pool.size) + 16, 64), dtype=dtype)
         pool = _sorted_unique(np.concatenate([pool, draw]))
-    return pool[rng.permutation(pool.size)[:m]]
+    pool = pool.astype(np.int64, copy=False)
+    rng.shuffle(pool)
+    return pool[:m]
 
 
 def _degree_counts_from_indices(n: int, m: int, idx: np.ndarray,

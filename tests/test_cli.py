@@ -135,7 +135,24 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == cli.EXIT_CONFIG_ERROR
 
-    def test_numeric_error_exit(self):
-        # m exceeding C(n,2) surfaces as a numeric error, not a traceback.
+    def test_too_many_edges_is_config_error(self, capsys):
+        # m exceeding C(n,2) is rejected before any replicate, not a traceback.
         code = run_cli("gnm", "--n", "4", "--m", "100", "--reps", "200")
-        assert code == cli.EXIT_NUMERIC_ERROR
+        assert code == cli.EXIT_CONFIG_ERROR
+        assert "exceeds C(n,2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("alloc", "--n", "0", "--m", "10"), "n must be >= 1"),
+        (("alloc", "--n", "10", "--m", "-1"), "m must be >= 0"),
+        (("gnp", "--n", "100", "--p", "2"), "p must be in [0, 1]"),
+        (("spacings", "--n", "100", "--a", "0"), "a must be positive"),
+        (("alloc", "--n", "100", "--m", "100", "--max-k", "-1"), "max_k must be >= 0"),
+        (("alloc", "--n", "100", "--m", "100", "--seed", "-1"), "seed must be >= 0"),
+    ], ids=["n-zero", "m-negative", "p-above-one", "a-zero", "max-k-negative",
+            "seed-negative"])
+    def test_bad_parameter_is_config_error(self, argv, message, capsys):
+        code = run_cli(*argv, "--reps", "200")
+        assert code == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "PASS" not in captured.out and "Traceback" not in captured.err

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from condclt import limit_theory as lt
 from condclt import mc_engine as mc
-from condclt import monotone
+from condclt import monotone, simulators
 from condclt.errors import (
     DegenerateVariance,
     DimensionMismatch,
@@ -44,6 +44,29 @@ class TestStandardize:
         spec = mc.standardization_for("alloc", {"n": 100, "m": 100, "max_k": 2})
         with pytest.raises(DimensionMismatch):
             mc.standardize([1.0], spec)
+
+    def test_matrix_equals_rows(self):
+        spec = mc.standardization_for("alloc", {"n": 100, "m": 100, "max_k": 2})
+        raw = np.array([[37, 36, 19], [40, 30, 21], [35, 38, 18]], dtype=np.int64)
+        out = mc.standardize(raw, spec)
+        for row, expect in zip(raw, out):
+            assert mc.standardize(row, spec).tobytes() == expect.tobytes()
+
+    def test_matrix_shape_mismatch(self):
+        spec = mc.standardization_for("alloc", {"n": 100, "m": 100, "max_k": 2})
+        with pytest.raises(DimensionMismatch):
+            mc.standardize(np.zeros((4, 2)), spec)
+        with pytest.raises(DimensionMismatch):
+            mc.standardize(np.zeros((2, 4, 3)), spec)
+
+    @pytest.mark.parametrize("a_n", [0.0, -1.0, float("nan")])
+    def test_spec_rejects_nonpositive_scale(self, a_n):
+        with pytest.raises(ValueError, match="a_n"):
+            mc.StandardizationSpec(a_n=a_n, b_n=np.zeros(1))
+
+    def test_spec_holds_only_affine_map(self):
+        spec = mc.StandardizationSpec(a_n=2.0, b_n=[1.0])
+        assert set(vars(spec)) == {"a_n", "b_n"}
 
 
 class TestMomentAccumulator:
@@ -111,6 +134,47 @@ class TestMomentAccumulator:
             mc.MomentAccumulator(2).update([1.0])
 
 
+def _assert_rel_close(got, want, rtol=1e-12):
+    """Agreement relative to the largest entry of want."""
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestFromBlock:
+    # Skewed rows on the scale of standardized counts, so every central sum
+    # is far from 0.
+    DATA = np.random.default_rng(3).exponential(size=(700, 4)) * [1.0, 0.3, 2.0, 0.05]
+
+    def _fill(self, data):
+        acc = mc.MomentAccumulator(data.shape[1])
+        for row in data:
+            acc.update(row)
+        return acc
+
+    def test_matches_sequential_update(self):
+        block, seq = mc.MomentAccumulator.from_block(self.DATA), self._fill(self.DATA)
+        assert block.count == seq.count == len(self.DATA)
+        for name in ("mean", "comoment", "third_diag", "fourth_diag"):
+            _assert_rel_close(getattr(block, name), getattr(seq, name))
+
+    def test_merge_matches_union(self):
+        a = mc.MomentAccumulator.from_block(self.DATA[:260])
+        b = mc.MomentAccumulator.from_block(self.DATA[260:])
+        whole = mc.MomentAccumulator.from_block(self.DATA)
+        merged = a.merge(b)
+        assert merged.count == whole.count
+        for name in ("mean", "comoment", "third_diag", "fourth_diag"):
+            _assert_rel_close(getattr(merged, name), getattr(whole, name))
+
+    def test_empty_block(self):
+        acc = mc.MomentAccumulator.from_block(np.empty((0, 3)))
+        assert acc.count == 0 and acc.dim == 3
+        assert acc.merge(mc.MomentAccumulator.from_block(self.DATA[:5, :3])).count == 5
+
+    def test_rejects_vector(self):
+        with pytest.raises(DimensionMismatch):
+            mc.MomentAccumulator.from_block(np.zeros(3))
+
+
 class TestRunExperiment:
     def test_deterministic_same_seed(self):
         p = {"n": 50, "m": 50, "max_k": 3}
@@ -146,6 +210,23 @@ class TestRunExperiment:
         recon = mc.standardize(mat[0].astype(float), spec)
         assert recon == pytest.approx(run.samples[0], abs=1e-12)
         assert mat.min() >= 0 and mat.sum(axis=1).max() <= 20
+
+    def test_dump_is_the_raw_count_matrix(self, tmp_path):
+        p = {"n": 20, "m": 25, "max_k": 4}
+        path = tmp_path / "counts.bin"
+        run = mc.run_experiment("alloc", p, reps=50, seed=5, dump_path=path)
+        spec = mc.standardization_for("alloc", p)
+        recon = np.rint(run.samples * spec.a_n + spec.b_n).astype("<i8")
+        assert path.read_bytes() == recon.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_phase_timings(self, workers):
+        run = mc.run_experiment("alloc", {"n": 50, "m": 50, "max_k": 3}, reps=300,
+                                seed=4, workers=workers)
+        assert set(run.timings) == {"streams_s", "sampling_s", "standardize_s",
+                                    "accumulate_s", "dump_s"}
+        assert all(v >= 0.0 for v in run.timings.values())
+        assert sum(run.timings.values()) <= run.wall_time
 
     def test_batch_accs_partition(self):
         run = mc.run_experiment("alloc", {"n": 10, "m": 10, "max_k": 2},
@@ -248,3 +329,103 @@ class TestGateSoundness:
         kinds = {e.kind for e in out["entries"]}
         assert kinds == {"mean", "cov"}
         assert all(e.i == e.j for e in out["entries"] if e.kind == "cov")
+
+
+def _reference_samples(model, params, reps, seed):
+    """The per-replicate harness: a fresh default_rng(SeedSequence([seed, i]))
+    per replicate, the model's public sampler, then standardize on each row."""
+    spec = mc.standardization_for(model, params)
+    rows = []
+    for i in range(reps):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        if model == "spacings":
+            sample = simulators.sample_spacings(params["n"], rng)
+            raw = np.array([simulators.exceedance_count(sample, params["a"])])
+        else:
+            sampler = {"alloc": simulators.sample_allocation,
+                       "gnp": simulators.sample_gnp, "gnm": simulators.sample_gnm}[model]
+            size = params["p"] if model == "gnp" else params["m"]
+            max_k = max(params["max_k"], simulators.DEFAULT_MAX_K)
+            raw = sampler(params["n"], size, rng, max_k=max_k).counts[: params["max_k"] + 1]
+        rows.append(mc.standardize(raw, spec))
+    return np.array(rows)
+
+
+# A run crosses a stream block boundary at replicate mc.STREAM_BLOCK.
+HARNESS_CASES = {
+    "alloc": ("alloc", {"n": 30, "m": 40, "max_k": 3}, 1100),
+    "gnm-sparse": ("gnm", {"n": 200, "m": 300, "max_k": 5}, 60),
+    "gnm-dense": ("gnm", {"n": 8, "m": 25, "max_k": 7}, 60),
+    "gnp": ("gnp", {"n": 2000, "p": 0.001, "max_k": 8}, 40),
+    "spacings": ("spacings", {"n": 500, "a": 1.0}, 60),
+}
+
+
+class TestHarnessEquivalence:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(HARNESS_CASES))
+    def test_samples_match_per_replicate_reference(self, case, workers):
+        model, params, reps = HARNESS_CASES[case]
+        run = mc.run_experiment(model, params, reps, seed=9, workers=workers)
+        ref = _reference_samples(model, params, reps, seed=9)
+        assert run.samples.dtype == ref.dtype
+        assert run.samples.tobytes() == ref.tobytes()
+
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1]
+
+
+class TestStreamDerivation:
+    # Seeds of up to five 32-bit words and indices of one and two words: with
+    # five or more entropy words SeedSequence mixes the words beyond its pool
+    # of four in a second loop.  Each range reuses one Generator twice.
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    @pytest.mark.parametrize("lo", [0, 1023, 2**32 - 1])
+    def test_matches_default_rng(self, seed, lo):
+        for i, rng in zip(range(lo, lo + 2), mc._replicate_rngs(seed, lo, lo + 2)):
+            ref = np.random.default_rng(np.random.SeedSequence([seed, i]))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(rng.integers(0, 1000, size=64),
+                                  ref.integers(0, 1000, size=64))
+            assert rng.binomial(10**6, 0.3) == ref.binomial(10**6, 0.3)
+
+    def test_range_across_blocks(self):
+        lo, hi = 2 * mc.STREAM_BLOCK - 3, 2 * mc.STREAM_BLOCK + 3
+        got = [rng.integers(0, 2**32, size=3) for rng in mc._replicate_rngs(7, lo, hi)]
+        want = [np.random.default_rng(np.random.SeedSequence([7, i])).integers(0, 2**32, size=3)
+                for i in range(lo, hi)]
+        assert np.array_equal(got, want)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            next(mc._replicate_rngs(-1, 0, 1))
+
+
+class TestCheckParams:
+    @pytest.mark.parametrize("model,params,seed", [
+        ("alloc", {"n": 0, "m": 10, "max_k": 3}, 0),
+        ("alloc", {"n": 10, "m": -1, "max_k": 3}, 0),
+        ("gnm", {"n": 4, "m": 7, "max_k": 3}, 0),
+        ("gnm", {"n": 4, "m": -1, "max_k": 3}, 0),
+        ("gnp", {"n": 10, "p": 1.5, "max_k": 3}, 0),
+        ("gnp", {"n": 10, "p": -0.1, "max_k": 3}, 0),
+        ("gnp", {"n": 10, "p": float("nan"), "max_k": 3}, 0),
+        ("spacings", {"n": 10, "a": 0.0}, 0),
+        ("alloc", {"n": 10, "m": 10, "max_k": -1}, 0),
+        ("alloc", {"n": 10, "m": 10, "max_k": 3}, -1),
+        ("poisson", {"n": 10}, 0),
+    ])
+    def test_rejects(self, model, params, seed):
+        with pytest.raises(ValueError):
+            mc.check_params(model, params, seed)
+        with pytest.raises(ValueError):
+            mc.run_experiment(model, params, reps=10, seed=seed)
+
+    @pytest.mark.parametrize("model,params", [
+        ("alloc", {"n": 1, "m": 0, "max_k": 0}),
+        ("gnm", {"n": 4, "m": 6, "max_k": 3}),
+        ("gnp", {"n": 10, "p": 1.0, "max_k": 3}),
+        ("spacings", {"n": 10, "a": 1e-9}),
+    ])
+    def test_accepts_boundary_values(self, model, params):
+        mc.check_params(model, params, 0)

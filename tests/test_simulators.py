@@ -188,6 +188,17 @@ class TestEdgeDraw:
         assert idx.tobytes() == ref.tobytes()
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
+    # C(92682, 2) = 4294930221 <= 2**32 draws uint32 indices; C(92683, 2) does not.
+    @pytest.mark.parametrize("n", [92682, 92683])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_matches_reference_at_32_bit_switch(self, n, seed):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        idx = sim._sample_edge_indices(n, 50, rng)
+        ref, _ = _reference_edge_indices(n, 50, ref_rng)
+        assert idx.dtype == ref.dtype
+        assert idx.tobytes() == ref.tobytes()
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
     def test_draw_is_a_subset(self):
         idx = sim._sample_edge_indices(2000, 2000, rng_for(5))
         assert np.unique(idx).size == 2000
