@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import cwold, limit_theory, mc_engine, monotone
-from .errors import CondCltError
+from .errors import CondCltError, TruncationError
 
 EXIT_OK = 0
 EXIT_GATE_FAILURE = 1
@@ -50,33 +50,19 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, args: list[str]) -> list[str]:
-    """Pull --config out of args and turn its key=value lines into parser
-    defaults, so explicit flags override file values."""
+def _config_path(argv: list[str]):
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(args)
-    if known.config is None:
-        return args
-    file_values = _read_config_file(known.config)
-    valid = {a.dest for a in parser._actions}
-    for sub_action in parser._subparsers._group_actions if parser._subparsers else []:
-        for sub in sub_action.choices.values():
-            valid |= {a.dest for a in sub._actions}
-    for key, val in file_values.items():
-        if key not in valid:
-            raise ConfigError(f"unknown config key {key!r}")
-    parser.set_defaults(**file_values)
-    if parser._subparsers:
-        for sub_action in parser._subparsers._group_actions:
-            for sub in sub_action.choices.values():
-                applicable = {k: v for k, v in file_values.items()
-                              if k in {a.dest for a in sub._actions}}
-                sub.set_defaults(**applicable)
-    return args
+    return pre.parse_known_args(argv)[0].config
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The condclt parser.  ``config`` maps option dests to strings from a
+    config file; each becomes the default of the option with that dest, which
+    argparse type-converts, so explicit flags override file values.  A key that
+    no subcommand defines raises ConfigError."""
+    config = config or {}
+    dests = set()
     parser = argparse.ArgumentParser(
         prog="condclt",
         description="Run one conditional-limit verification experiment.",
@@ -84,60 +70,69 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key=value config file; flags override it")
     sub = parser.add_subparsers(dest="experiment", required=True)
 
+    def arg(p, *flags, **kwargs):
+        dest = p.add_argument(*flags, **kwargs).dest
+        dests.add(dest)
+        if dest in config:
+            p.set_defaults(**{dest: config[dest]})
+
     def common(p, sampling=True):
-        p.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-        p.add_argument("--out", help="JSON report path")
-        p.add_argument("--table", help="CSV comparison table path")
+        arg(p, "--seed", type=int, default=0, help="master RNG seed (default 0)")
+        arg(p, "--out", help="JSON report path")
+        arg(p, "--table", help="CSV comparison table path")
         if sampling:
-            p.add_argument("--reps", type=int, default=1000,
-                           help="Monte Carlo replicates (default 1000)")
-            p.add_argument("--z-gate", type=float, default=mc_engine.DEFAULT_Z_GATE,
-                           help="max |z| accepted (default 4)")
-            p.add_argument("--ks-gate", type=float, default=mc_engine.DEFAULT_KS_GATE,
-                           help="max KS distance accepted (default 0.05)")
-            p.add_argument("--workers", type=int,
-                           default=int(os.environ.get("CONDCLT_THREADS", "1")),
-                           help="worker processes (does not affect results)")
-            p.add_argument("--dump", help="binary dump path for raw count vectors")
+            arg(p, "--reps", type=int, default=1000,
+                help="Monte Carlo replicates (default 1000)")
+            arg(p, "--z-gate", type=float, default=mc_engine.DEFAULT_Z_GATE,
+                help="max |z| accepted (default 4)")
+            arg(p, "--ks-gate", type=float, default=mc_engine.DEFAULT_KS_GATE,
+                help="max KS distance accepted (default 0.05)")
+            arg(p, "--workers", type=int,
+                default=int(os.environ.get("CONDCLT_THREADS", "1")),
+                help="worker processes (does not affect results)")
+            arg(p, "--dump", help="binary dump path for raw count vectors")
 
     p = sub.add_parser("alloc", help="balls-into-boxes occupancy counts")
-    p.add_argument("--n", type=int, required=True, help="number of boxes")
-    p.add_argument("--m", type=int, required=True, help="number of balls")
-    p.add_argument("--max-k", type=int, default=5, help="largest tracked count index")
+    arg(p, "--n", type=int, required=True, help="number of boxes")
+    arg(p, "--m", type=int, required=True, help="number of balls")
+    arg(p, "--max-k", type=int, default=5, help="largest tracked count index")
     common(p)
 
     p = sub.add_parser("gnp", help="G(n,p) degree counts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--max-k", type=int, default=8)
+    arg(p, "--n", type=int, required=True)
+    arg(p, "--p", type=float, required=True)
+    arg(p, "--max-k", type=int, default=8)
     common(p)
 
     p = sub.add_parser("gnm", help="G(n,m) degree counts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--max-k", type=int, default=8)
+    arg(p, "--n", type=int, required=True)
+    arg(p, "--m", type=int, required=True)
+    arg(p, "--max-k", type=int, default=8)
     common(p)
 
     p = sub.add_parser("spacings", help="uniform spacings exceedance counts")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--a", type=float, default=1.0, help="threshold multiple of 1/n")
+    arg(p, "--n", type=int, required=True)
+    arg(p, "--a", type=float, default=1.0, help="threshold multiple of 1/n")
     common(p)
 
     p = sub.add_parser("transfer", help="analytic G(n,p) -> G(n,m) covariance transfer")
-    p.add_argument("--lam", type=float, default=2.0)
-    p.add_argument("--K", type=int, default=60, help="truncation index")
+    arg(p, "--lam", type=float, default=2.0)
+    arg(p, "--K", type=int, default=60, help="truncation index")
     common(p, sampling=False)
 
     p = sub.add_parser("monotone", help="exact stochastic-monotonicity suite")
-    p.add_argument("--n", type=int, default=5, help="max box count checked")
-    p.add_argument("--max-m", type=int, default=8)
+    arg(p, "--n", type=int, default=5, help="max box count checked")
+    arg(p, "--max-m", type=int, default=8)
     common(p, sampling=False)
 
     p = sub.add_parser("cwold", help="characteristic-function octant scan")
-    p.add_argument("--grid", type=float, default=cwold.DEFAULT_GRID_STEP)
-    p.add_argument("--T", type=float, default=cwold.DEFAULT_GRID_EXTENT)
+    arg(p, "--grid", type=float, default=cwold.DEFAULT_GRID_STEP)
+    arg(p, "--T", type=float, default=cwold.DEFAULT_GRID_EXTENT)
     common(p, sampling=False)
 
+    for key in config:
+        if key not in dests:
+            raise ConfigError(f"unknown config key {key!r}")
     return parser
 
 
@@ -164,6 +159,29 @@ def _sampling_params(args) -> dict:
     else:
         params["a"] = args.a
     return params
+
+
+def check_args(args) -> None:
+    """Reject, with a ValueError, arguments the chosen experiment cannot run
+    with, before anything runs."""
+    if args.experiment in mc_engine.EXPERIMENT_MODELS:
+        mc_engine.check_params(args.experiment, _sampling_params(args), args.seed)
+        if args.reps < mc_engine.MIN_REPS:
+            raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
+    elif args.experiment == "transfer":
+        if not 0.0 < args.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {args.lam}")
+        k_min = limit_theory.truncation_index(args.lam)
+        if args.K < k_min:
+            raise ValueError(f"K must be >= {k_min}, where the Poisson({args.lam}) tail "
+                             f"mass falls below {limit_theory.TAIL_MASS_GATE:g}; got {args.K}")
+    elif args.experiment == "monotone":
+        if not 2 <= args.n <= monotone.DESK_MAX_N:
+            raise ValueError(f"n must be in [2, {monotone.DESK_MAX_N}], got {args.n}")
+        if not 1 <= args.max_m <= monotone.DESK_MAX_M:
+            raise ValueError(f"max_m must be in [1, {monotone.DESK_MAX_M}], got {args.max_m}")
+    elif not (args.grid > 0.0 and args.T > 0.0):
+        raise ValueError(f"grid and T must be positive, got grid={args.grid}, T={args.T}")
 
 
 def _run_sampling_experiment(args, params: dict) -> mc_engine.VerificationReport:
@@ -271,37 +289,26 @@ def parse_report(path: str) -> mc_engine.VerificationReport:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_defaults(parser, argv)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
-        # Config-file values arrive as strings; coerce through each action type.
-        for action in parser._actions + sum(
-            [list(s._actions) for s in
-             (parser._subparsers._group_actions[0].choices.values()
-              if parser._subparsers else [])], []):
-            if action.dest and hasattr(args, action.dest) and action.type:
-                val = getattr(args, action.dest)
-                if isinstance(val, str):
-                    setattr(args, action.dest, action.type(val))
+        path = _config_path(argv)
+        parser = build_parser(_read_config_file(path) if path else None)
     except ConfigError as exc:
         print(f"condclt: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
 
-    if args.experiment in mc_engine.EXPERIMENT_MODELS:
-        params = _sampling_params(args)
-        try:
-            mc_engine.check_params(args.experiment, params, args.seed)
-        except ValueError as exc:
-            print(f"condclt: config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
+    try:
+        check_args(args)
+    except (ValueError, TruncationError) as exc:
+        print(f"condclt: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     try:
         if args.experiment in mc_engine.EXPERIMENT_MODELS:
-            report = _run_sampling_experiment(args, params)
+            report = _run_sampling_experiment(args, _sampling_params(args))
         elif args.experiment == "transfer":
             report = _run_transfer(args)
         elif args.experiment == "monotone":

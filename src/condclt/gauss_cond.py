@@ -118,7 +118,7 @@ class ConditionalGaussian:
 
 
 def condition_on_vector(jg: JointGaussian, y) -> ConditionalGaussian:
-    """Condition the X block on Y = y.
+    """Condition the X block on Y = y (a scalar y is accepted when r = 1).
 
     The regression matrix is A = Cov(X, Y) Var(Y)^{-1}; the result has mean
     EX + A (y - EY) and covariance Cov(X) - A Cov(Y, X) (the Schur complement
@@ -128,28 +128,14 @@ def condition_on_vector(jg: JointGaussian, y) -> ConditionalGaussian:
     if y.shape != (jg.r,):
         raise DimensionMismatch(f"y must have length {jg.r}, got {y.shape}")
     syy = jg.cov_yy
-    if np.linalg.cond(syy) > COND_NUMBER_GATE:
-        raise SingularYBlock(
-            f"Var(Y) condition number {np.linalg.cond(syy):.3e} exceeds {COND_NUMBER_GATE:.0e}"
-        )
+    cond = np.linalg.cond(syy)
+    if cond > COND_NUMBER_GATE:
+        raise SingularYBlock(f"Var(Y) condition number {cond:.3e} exceeds {COND_NUMBER_GATE:.0e}")
     # A = Sxy Syy^{-1}, via a symmetric solve rather than explicit inversion.
     a = np.linalg.solve(syy, jg.cov_xy.T).T
     mean = jg.mean_x + a @ (y - jg.mean_y)
     cov = jg.cov_xx - a @ jg.cov_xy.T
     return ConditionalGaussian(mean=mean, cov=cov, gamma=a)
-
-
-def condition_on_scalar(jg: JointGaussian, xi: float) -> ConditionalGaussian:
-    """Scalar-Y specialization: gamma_i = Cov(X_i, Y) / Var(Y)."""
-    if jg.r != 1:
-        raise DimensionMismatch(f"scalar conditioning requires r=1, got r={jg.r}")
-    var_y = float(jg.cov_yy[0, 0])
-    if var_y <= 0.0:
-        raise SingularYBlock(f"Var(Y) = {var_y} is not positive")
-    gamma = jg.cov_xy[:, 0] / var_y
-    mean = jg.mean_x + gamma * (float(xi) - float(jg.mean_y[0]))
-    cov = jg.cov_xx - np.outer(jg.cov_xy[:, 0], jg.cov_xy[:, 0]) / var_y
-    return ConditionalGaussian(mean=mean, cov=cov, gamma=gamma.reshape(-1, 1))
 
 
 def residual_variance(sx2: float, sy2: float, sxy: float) -> float:
@@ -169,7 +155,8 @@ def residual_variance(sx2: float, sy2: float, sxy: float) -> float:
     if sx2 > 0.0:
         rho2 = sxy * sxy / (sx2 * sy2)
         alt = (1.0 - rho2) * sx2
-        assert abs(out - alt) <= 1e-12 * max(abs(out), abs(alt), 1.0)
+        if abs(out - alt) > 1e-12 * max(abs(out), abs(alt), 1.0):
+            raise InvalidCovariance(f"residual {out!r} != (1 - rho^2) sx2 = {alt!r}")
     return max(out, 0.0)
 
 
@@ -193,7 +180,7 @@ def conjugate_by_transform(t: np.ndarray, jg: JointGaussian, xi: float) -> Condi
     cov[q:, q:] = jg.cov_yy
     cov = 0.5 * (cov + cov.T)
     transformed = JointGaussian(q=q, r=r, mean=mean, cov=_clamp_psd(cov))
-    cond = condition_on_scalar(transformed, xi)
+    cond = condition_on_vector(transformed, xi)
     t_inv = np.linalg.inv(t)
     return ConditionalGaussian(
         mean=t_inv @ cond.mean,

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gauss_cond
-from .errors import InvalidA, InvalidLambda, TruncationError
+from .errors import InvalidA, InvalidCovariance, InvalidLambda, TruncationError
 
 TAIL_MASS_GATE = 1e-12
 
@@ -38,35 +38,27 @@ def poisson_pmf(lam: float, k: int) -> float:
 
 
 def poisson_tail_mass(lam: float, k: int) -> float:
-    """P(Po(lam) > k), computed by stable summation of the pmf."""
+    """P(Po(lam) > k), from the regularized incomplete gamma function, which
+    keeps its relative accuracy where 1 - sum(pmf) would cancel."""
+    from scipy.special import pdtrc  # a top-level import would triple this module's import time
+
     if lam <= 0.0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
-    total = 0.0
-    for j in range(int(k) + 1):
-        total += poisson_pmf(lam, j)
-    return max(0.0, 1.0 - total)
+    return float(pdtrc(k, lam)) if k >= 0 else 1.0
 
 
 def truncation_index(lam: float, tol: float = TAIL_MASS_GATE) -> int:
     """Smallest K whose Poisson tail mass beyond K is below tol."""
-    if lam <= 0.0:
-        raise InvalidLambda(f"lambda must be positive, got {lam}")
-    total = 0.0
-    k = 0
-    while True:
-        total += poisson_pmf(lam, k)
-        if 1.0 - total < tol:
+    for k in range(10_001):
+        if poisson_tail_mass(lam, k) < tol:
             return k
-        k += 1
-        if k > 10_000:
-            raise TruncationError(f"no truncation index below 10000 for lambda={lam}")
+    raise TruncationError(f"no truncation index below 10000 for lambda={lam}")
 
 
 def check_truncation(lam: float, k: int, tol: float = TAIL_MASS_GATE) -> None:
-    if poisson_tail_mass(lam, k) >= tol:
-        raise TruncationError(
-            f"tail mass beyond K={k} is {poisson_tail_mass(lam, k):.3e} >= {tol}"
-        )
+    tail = poisson_tail_mass(lam, k)
+    if not tail < tol:
+        raise TruncationError(f"tail mass beyond K={k} is {tail:.3e} >= {tol}")
 
 
 def alloc_cov(lam: float, i: int, j: int) -> float:
@@ -112,14 +104,20 @@ class TheoryCovariance:
 
 
 def theory_cov_matrix(model: str, lam: float, k_max: int) -> TheoryCovariance:
-    """Assemble the limit covariance matrix for indices 0..k_max."""
+    """Limit covariance matrix for indices 0..k_max, in one formula:
+
+        diag(pi) - pi pi^T + s u u^T / lam,   u_k = pi_k (k - lam),
+
+    with s = +1 for G(n, p) and s = -1 for ALLOC and G(n, m): conditioning on
+    the total flips the sign of the rank-one term.  The per-entry functions
+    above are the independent reference for this matrix.
+    """
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    entry = {ALLOC: alloc_cov, GNP: gnp_degree_cov, GNM: gnm_degree_cov}[model]
-    mat = np.empty((k_max + 1, k_max + 1))
-    for i in range(k_max + 1):
-        for j in range(i, k_max + 1):
-            mat[i, j] = mat[j, i] = entry(lam, i, j)
+    pi = np.array([poisson_pmf(lam, k) for k in range(k_max + 1)])
+    u = pi * (np.arange(k_max + 1) - lam)
+    sign = 1.0 if model == GNP else -1.0
+    mat = np.diag(pi) - np.outer(pi, pi) + sign * np.outer(u, u) / lam
     return TheoryCovariance(model=model, lam=lam, matrix=mat)
 
 
@@ -146,7 +144,8 @@ def weiss_variance(lam: float) -> float:
     # Cross-check against the generic residual-variance route.
     e = math.exp(-lam)
     alt = gauss_cond.residual_variance(e * (1.0 - e), lam, -lam * e)
-    assert abs(out - alt) <= 1e-14 * max(1.0, abs(out))
+    if abs(out - alt) > 1e-14 * max(1.0, abs(out)):
+        raise InvalidCovariance(f"Weiss variance {out!r} != conditioning route {alt!r}")
     return out
 
 
@@ -168,49 +167,20 @@ def spacings_limit_constants(a: float) -> SpacingsConstants:
     sy2 = 1.0
     residual = gauss_cond.residual_variance(sx2, sy2, sxy)
     closed = e - e * e - a * a * e * e
-    assert abs(residual - closed) <= 1e-14 * max(1.0, abs(closed))
+    if abs(residual - closed) > 1e-14 * max(1.0, abs(closed)):
+        raise InvalidCovariance(f"spacings residual {residual!r} != closed form {closed!r}")
     return SpacingsConstants(sx2, sxy, sy2, residual)
 
 
-def _estimate_tail_contribution(lam: float, coeffs: np.ndarray, model: str,
-                                horizon: int = 120) -> float:
-    """Crude upper estimate of the quadratic-form mass lost to truncation,
-    extrapolating the coefficient sequence geometrically past its last entry."""
-    k_max = len(coeffs) - 1
-    nz = np.flatnonzero(np.abs(coeffs) > 0.0)
-    if len(nz) == 0 or nz[-1] < k_max:
-        # Trailing zeros: the sequence is taken as finitely supported.
-        return 0.0
-    a_last = abs(coeffs[k_max])
-    if k_max >= 1 and abs(coeffs[k_max - 1]) > 0.0:
-        ratio = min(max(a_last / abs(coeffs[k_max - 1]), 1e-6), 4.0)
-    else:
-        ratio = 2.0
-    entry = {ALLOC: alloc_cov, GNP: gnp_degree_cov, GNM: gnm_degree_cov}[model]
-    ext = a_last * ratio ** np.arange(1, horizon + 1)
-    ks = np.arange(k_max + 1, k_max + horizon + 1)
-    tail = 0.0
-    for a_k, k in zip(ext, ks):
-        # Cross terms against the retained block.
-        for j, a_j in enumerate(coeffs):
-            if a_j != 0.0:
-                tail += 2.0 * abs(a_j) * a_k * abs(entry(lam, j, int(k)))
-        # Diagonal of the discarded block dominates its own quadratic form.
-        tail += a_k * a_k * abs(entry(lam, int(k), int(k)))
-    return tail
-
-
 def lincomb_variance(lam: float, coeffs, model: str) -> float:
-    """Variance of the limit of a coefficient-weighted sum of the counts,
-    computed as the quadratic form against the truncated theory matrix."""
+    """Variance of the limit of sum_k coeffs[k] U_k over k = 0..len(coeffs)-1.
+
+    Exact for the finite coefficient array: the quadratic form against the
+    theory matrix, whose entries for 0..K do not depend on K.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or len(coeffs) == 0:
         raise ValueError("coeffs must be a non-empty 1-D sequence")
-    tail = _estimate_tail_contribution(lam, coeffs, model)
-    if tail > 1e-9:
-        raise TruncationError(
-            f"estimated tail contribution {tail:.3e} exceeds 1e-9; increase K"
-        )
     theory = theory_cov_matrix(model, lam, len(coeffs) - 1)
     out = float(coeffs @ theory.matrix @ coeffs)
     if out < -1e-10:
@@ -232,17 +202,12 @@ def edge_stat_moments(lam: float, k_max: int) -> tuple[np.ndarray, float]:
 def gnm_cov_via_conditioning(lam: float, k_max: int) -> np.ndarray:
     """Condition the G(n,p) limit covariance on the edge statistic.
 
-    Builds the joint Gaussian of (U_0..U_K, V) from the closed forms and runs
-    it through the exact conditioning machinery; the result reproduces the
-    G(n, m) covariance matrix.
+    The joint vector (U_0..U_K, V) is A U with A = [I; k/2], so its covariance
+    is A Sigma A^T; running it through the exact conditioning machinery
+    reproduces the G(n, m) covariance matrix.
     """
-    sigma = theory_cov_matrix(GNP, lam, k_max).matrix
-    cov_with_v, var_v = edge_stat_moments(lam, k_max)
-    d = k_max + 2
-    cov = np.empty((d, d))
-    cov[:-1, :-1] = sigma
-    cov[:-1, -1] = cov_with_v
-    cov[-1, :-1] = cov_with_v
-    cov[-1, -1] = var_v
-    jg = gauss_cond.JointGaussian(q=k_max + 1, r=1, mean=np.zeros(d), cov=cov)
-    return gauss_cond.condition_on_scalar(jg, 0.0).cov
+    check_truncation(lam, k_max)
+    a = np.vstack([np.eye(k_max + 1), 0.5 * np.arange(k_max + 1)])
+    cov = a @ theory_cov_matrix(GNP, lam, k_max).matrix @ a.T
+    jg = gauss_cond.JointGaussian(q=k_max + 1, r=1, mean=np.zeros(k_max + 2), cov=cov)
+    return gauss_cond.condition_on_vector(jg, 0.0).cov

@@ -24,6 +24,7 @@ EXPERIMENT_MODELS = ("alloc", "gnp", "gnm", "spacings")
 DEFAULT_Z_GATE = 4.0
 DEFAULT_KS_GATE = 0.05
 DEFAULT_N_BATCHES = 20
+MIN_REPS = 100              # fewest replicates compare_to_theory accepts
 STREAM_BLOCK = 1024         # replicate streams derived together
 
 # SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx and
@@ -318,10 +319,9 @@ def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
         sampler = {"alloc": simulators.sample_allocation, "gnp": simulators.sample_gnp,
                    "gnm": simulators.sample_gnm}[model]
         size = params["p"] if model == "gnp" else params["m"]
-        max_k = max(params["max_k"], simulators.DEFAULT_MAX_K)
 
         def draw(rng):
-            return sampler(n, size, rng, max_k=max_k).counts[:dim]
+            return sampler(n, size, rng, max_k=params["max_k"]).counts[:dim]
 
     out = np.empty((hi - lo, dim), dtype=np.int64)
     sampling_s = 0.0
@@ -494,8 +494,8 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
     Mean entries use sqrt(var/count) standard errors; covariance entries use
     batch-means standard errors across the per-batch covariance estimates.
     """
-    if run.acc.count < 100:
-        raise InsufficientReplicates(f"need >= 100 replicates, got {run.acc.count}")
+    if run.acc.count < MIN_REPS:
+        raise InsufficientReplicates(f"need >= {MIN_REPS} replicates, got {run.acc.count}")
     theory_mean = np.asarray(theory_mean, dtype=float)
     theory_cov = np.asarray(theory_cov, dtype=float)
     report = VerificationReport(

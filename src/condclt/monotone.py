@@ -19,6 +19,8 @@ import numpy as np
 from .errors import NotComparable, OutOfDeskRange
 
 CDF_TOL = 1e-12
+DESK_MAX_N = 8              # exact_empty_box_law's range: n <= 8, m <= 12
+DESK_MAX_M = 12
 
 
 @dataclass(frozen=True)
@@ -31,10 +33,14 @@ class FiniteDistribution:
     def __post_init__(self):
         support = np.asarray(self.support, dtype=float)
         probs = np.asarray(self.probs, dtype=float)
-        assert support.ndim == probs.ndim == 1 and len(support) == len(probs)
-        assert np.all(np.diff(support) > 0), "support must be strictly increasing"
-        assert np.all(probs >= 0)
-        assert abs(probs.sum() - 1.0) <= CDF_TOL
+        if not (support.ndim == probs.ndim == 1 and len(support) == len(probs)):
+            raise ValueError("support and probs must be 1-D arrays of equal length")
+        if not np.all(np.diff(support) > 0):
+            raise ValueError("support must be strictly increasing")
+        if not np.all(probs >= 0):
+            raise ValueError("probs must be non-negative")
+        if not abs(probs.sum() - 1.0) <= CDF_TOL:
+            raise ValueError(f"probs sum to {probs.sum()!r}, not 1")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
@@ -60,7 +66,7 @@ def surjection_count(m: int, b: int) -> int:
 
 def exact_empty_box_law(n: int, m: int) -> FiniteDistribution:
     """Exact law of the number of empty boxes after m uniform throws into n boxes."""
-    if not (1 <= n <= 8) or not (0 <= m <= 12):
+    if not (1 <= n <= DESK_MAX_N) or not (0 <= m <= DESK_MAX_M):
         raise OutOfDeskRange(f"(n={n}, m={m}) outside the exact-enumeration range")
     weights = {}
     for z in range(n + 1):

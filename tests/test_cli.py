@@ -156,3 +156,22 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "PASS" not in captured.out and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("cwold", "--grid", "0"), "grid and T must be positive"),
+        (("cwold", "--T", "-1"), "grid and T must be positive"),
+        (("transfer", "--lam", "0"), "lam must be positive"),
+        (("transfer", "--K", "3"), "K must be >= 18"),
+        (("monotone", "--n", "9"), "n must be in [2, 8]"),
+        (("monotone", "--n", "1"), "n must be in [2, 8]"),
+        (("monotone", "--max-m", "0"), "max_m must be in [1, 12]"),
+        (("alloc", "--n", "100", "--m", "100", "--reps", "1"), "reps must be >= 100"),
+        (("alloc", "--n", "100", "--m", "100", "--reps", "50"), "reps must be >= 100"),
+    ], ids=["grid-zero", "T-negative", "lam-zero", "K-below-truncation", "monotone-n-nine",
+            "monotone-n-one", "max-m-zero", "reps-one", "reps-fifty"])
+    def test_bad_argument_is_config_error(self, argv, message, capsys):
+        code = run_cli(*argv)
+        assert code == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "PASS" not in captured.out and "Traceback" not in captured.err

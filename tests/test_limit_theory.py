@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from condclt import limit_theory as lt
-from condclt.errors import InvalidA, InvalidLambda, TruncationError
+from condclt.errors import InvalidA, InvalidCovariance, InvalidLambda, TruncationError
 
 E = math.e
 LAMBDAS = [0.5, 1.0, 2.0, 4.0]
@@ -37,6 +37,20 @@ class TestPoissonPmf:
             lt.poisson_pmf(0.0, 1)
         with pytest.raises(InvalidLambda):
             lt.poisson_pmf(-1.0, 1)
+
+
+class TestPoissonTail:
+    @pytest.mark.parametrize("lam,k", [(0.5, 10), (0.5, 0), (1.0, 5), (2.0, 18),
+                                       (4.0, 25), (17.0, 40)])
+    def test_matches_direct_tail_sum(self, lam, k):
+        direct = math.fsum(lt.poisson_pmf(lam, j) for j in range(k + 1, k + 401))
+        assert lt.poisson_tail_mass(lam, k) == pytest.approx(direct, rel=1e-12, abs=0)
+
+    def test_truncation_index_is_smallest(self):
+        for lam in [0.1, 0.5, 1.0, 2.0, 4.0, 7.3, 20.0]:
+            k = lt.truncation_index(lam)
+            assert lt.poisson_tail_mass(lam, k) < lt.TAIL_MASS_GATE
+            assert k == 0 or lt.poisson_tail_mass(lam, k - 1) >= lt.TAIL_MASS_GATE
 
 
 class TestAllocCov:
@@ -77,6 +91,15 @@ class TestDegreeCovs:
             for i in range(0, 61):
                 for j in range(0, 61):
                     assert lt.gnm_degree_cov(lam, i, j) == lt.alloc_cov(lam, i, j)
+
+    @pytest.mark.parametrize("model", lt.MODELS)
+    def test_matrix_matches_per_entry_functions(self, model):
+        entry = {lt.ALLOC: lt.alloc_cov, lt.GNP: lt.gnp_degree_cov,
+                 lt.GNM: lt.gnm_degree_cov}[model]
+        for lam in LAMBDAS:
+            mat = lt.theory_cov_matrix(model, lam, 60).matrix
+            ref = np.array([[entry(lam, i, j) for j in range(61)] for i in range(61)])
+            assert np.abs(mat - ref).max() <= 1e-15
 
     def test_rank_one_gap(self):
         # gnp - gnm is the outer product (2/lam) g g^T with g_k = pi(k)(k - lam).
@@ -142,6 +165,13 @@ class TestWeissVariance:
         with pytest.raises(InvalidLambda):
             lt.weiss_variance(0.0)
 
+    def test_cross_check_raises(self, monkeypatch):
+        monkeypatch.setattr(lt.gauss_cond, "residual_variance", lambda *args: 0.5)
+        with pytest.raises(InvalidCovariance):
+            lt.weiss_variance(1.0)
+        with pytest.raises(InvalidCovariance):
+            lt.spacings_limit_constants(1.0)
+
 
 class TestSpacingsConstants:
     def test_a_one(self):
@@ -178,10 +208,12 @@ class TestLincombVariance:
         coeffs = np.arange(61) / 2.0
         assert lt.lincomb_variance(2.0, coeffs, lt.GNP) == pytest.approx(1.0, abs=1e-6)
 
-    def test_truncation_error_on_fast_growth(self):
+    def test_fast_growth_is_exact_quadratic_form(self):
+        # A finite coefficient array is exact however fast it grows.
         coeffs = 3.0 ** np.arange(6)
-        with pytest.raises(TruncationError):
-            lt.lincomb_variance(2.0, coeffs, lt.GNP)
+        sigma = np.array([[lt.gnp_degree_cov(2.0, i, j) for j in range(6)] for i in range(6)])
+        assert lt.lincomb_variance(2.0, coeffs, lt.GNP) == pytest.approx(
+            coeffs @ sigma @ coeffs, rel=1e-12)
 
 
 class TestEdgeStatMoments:

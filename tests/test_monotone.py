@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,31 @@ from condclt.errors import NotComparable, OutOfDeskRange
 
 def point_mass(x):
     return mono.FiniteDistribution(np.array([float(x)]), np.array([1.0]))
+
+
+class TestFiniteDistribution:
+    @pytest.mark.parametrize("support,probs", [
+        ([0.0, 1.0], [1.0]),
+        ([1.0, 0.0], [0.5, 0.5]),
+        ([0.0, 1.0], [1.5, -0.5]),
+        ([0.0, 1.0], [0.5, 0.4]),
+    ], ids=["length", "order", "negative", "mass"])
+    def test_rejects_bad_input(self, support, probs):
+        with pytest.raises(ValueError):
+            mono.FiniteDistribution(np.array(support), np.array(probs))
+
+    def test_checks_survive_optimize_flag(self):
+        src = os.path.dirname(os.path.dirname(mono.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import numpy as np\n"
+                "from condclt.monotone import FiniteDistribution\n"
+                "try:\n"
+                "    FiniteDistribution(np.array([1.0, 0.0]), np.array([0.5, 0.5]))\n"
+                "except ValueError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+        assert out.returncode == 0
 
 
 class TestExactEmptyBoxLaw:
