@@ -192,10 +192,15 @@ def _run_sampling_experiment(args, params: dict) -> mc_engine.VerificationReport
     report = mc_engine.compare_to_theory(run, theory_mean, theory_cov,
                                          z_gate=args.z_gate)
     report.ks_gate = args.ks_gate
-    if run.reps >= 1000:
+    if run.reps < mc_engine.KS_MIN_REPS:
+        report.skipped.append({"gate": "ks",
+                               "reason": f"R = {run.reps} < {mc_engine.KS_MIN_REPS}"})
+    else:
         for i in range(run.samples.shape[1]):
             sigma2 = theory_cov[i, i]
             if sigma2 <= 0:
+                report.skipped.append({"gate": "ks", "index": i,
+                                       "reason": f"theory variance {sigma2:.3g} <= 0"})
                 continue
             dist = mc_engine.normality_distance(run.samples[:, i], 0.0, sigma2)
             report.normality.append({"index": i, "distance": dist, "gate": args.ks_gate})

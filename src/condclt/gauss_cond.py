@@ -32,19 +32,22 @@ def _check_symmetric(cov: np.ndarray, name: str = "cov") -> None:
         raise InvalidCovariance(f"{name} is not symmetric to within {SYMMETRY_RTOL} relative")
 
 
-def _check_psd(cov: np.ndarray, name: str = "cov") -> None:
-    eigs = np.linalg.eigvalsh(cov)
+def _check_psd(eigs: np.ndarray, cov: np.ndarray) -> None:
+    """Raise unless cov's smallest eigenvalue (eigs holds them all) clears the
+    PSD floor."""
     floor = PSD_EIG_FLOOR * max(np.trace(cov), 1e-300)
     if eigs.min() < floor:
         raise InvalidCovariance(
-            f"{name} has eigenvalue {eigs.min():.3e} below the PSD floor {floor:.3e}"
+            f"cov has eigenvalue {eigs.min():.3e} below the PSD floor {floor:.3e}"
         )
 
 
 def _clamp_psd(cov: np.ndarray) -> np.ndarray:
-    """Symmetrize and clamp tiny negative eigenvalues (rounding debris) to 0."""
+    """Symmetrize, check the PSD floor and clamp tiny negative eigenvalues
+    (rounding debris) to 0, all from one eigendecomposition."""
     sym = 0.5 * (cov + cov.T)
     eigs, vecs = np.linalg.eigh(sym)
+    _check_psd(eigs, sym)
     if eigs.min() >= 0.0:
         return sym
     return (vecs * np.clip(eigs, 0.0, None)) @ vecs.T
@@ -70,7 +73,7 @@ class JointGaussian:
         if cov.shape != (d, d):
             raise DimensionMismatch(f"cov must be {d}x{d}, got {cov.shape}")
         _check_symmetric(cov)
-        _check_psd(cov)
+        _check_psd(np.linalg.eigvalsh(cov), cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -94,9 +97,6 @@ class JointGaussian:
     def cov_yy(self) -> np.ndarray:
         return self.cov[self.q:, self.q:]
 
-    def y_block_condition_number(self) -> float:
-        return float(np.linalg.cond(self.cov_yy))
-
 
 @dataclass(frozen=True)
 class ConditionalGaussian:
@@ -111,7 +111,6 @@ class ConditionalGaussian:
         cov = np.asarray(self.cov, dtype=float)
         gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
         _check_symmetric(cov)
-        _check_psd(cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", _clamp_psd(cov))
         object.__setattr__(self, "gamma", gamma)
@@ -178,7 +177,6 @@ def conjugate_by_transform(t: np.ndarray, jg: JointGaussian, xi: float) -> Condi
     cov[:q, q:] = t @ jg.cov_xy
     cov[q:, :q] = cov[:q, q:].T
     cov[q:, q:] = jg.cov_yy
-    cov = 0.5 * (cov + cov.T)
     transformed = JointGaussian(q=q, r=r, mean=mean, cov=_clamp_psd(cov))
     cond = condition_on_vector(transformed, xi)
     t_inv = np.linalg.inv(t)

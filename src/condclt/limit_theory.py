@@ -38,21 +38,44 @@ def poisson_pmf(lam: float, k: int) -> float:
 
 
 def poisson_tail_mass(lam: float, k: int) -> float:
-    """P(Po(lam) > k), from the regularized incomplete gamma function, which
-    keeps its relative accuracy where 1 - sum(pmf) would cancel."""
-    from scipy.special import pdtrc  # a top-level import would triple this module's import time
+    """P(Po(lam) > k).
 
+    Past the mode the tail is summed upward from pmf(k + 1) with the term
+    ratio lam/j, so it keeps its relative accuracy where 1 - sum(pmf) would
+    cancel; up to the mode the tail is not small and 1 - sum(pmf) is exact
+    enough.
+    """
     if lam <= 0.0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
-    return float(pdtrc(k, lam)) if k >= 0 else 1.0
+    if k < 0:
+        return 1.0
+    if k + 1 <= lam:
+        return 1.0 - math.fsum(poisson_pmf(lam, j) for j in range(k + 1))
+    term = poisson_pmf(lam, k + 1)
+    terms = [term]
+    j = k + 2
+    # every later ratio is at most lam/j < 1, so the rest is below the
+    # geometric bound term * lam / (j - lam)
+    while term > 0.0 and term * lam / (j - lam) > 2.0**-60 * terms[0]:
+        term *= lam / j
+        terms.append(term)
+        j += 1
+    return math.fsum(terms)
 
 
 def truncation_index(lam: float, tol: float = TAIL_MASS_GATE) -> int:
-    """Smallest K whose Poisson tail mass beyond K is below tol."""
-    for k in range(10_001):
-        if poisson_tail_mass(lam, k) < tol:
-            return k
-    raise TruncationError(f"no truncation index below 10000 for lambda={lam}")
+    """Smallest K whose Poisson tail mass beyond K is below tol, by bisection:
+    the tail is non-increasing in K."""
+    lo, hi = -1, 10_000
+    if not poisson_tail_mass(lam, hi) < tol:
+        raise TruncationError(f"no truncation index below 10000 for lambda={lam}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if poisson_tail_mass(lam, mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def check_truncation(lam: float, k: int, tol: float = TAIL_MASS_GATE) -> None:

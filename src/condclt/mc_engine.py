@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import limit_theory, simulators
 from .errors import DegenerateVariance, DimensionMismatch, InsufficientReplicates
@@ -25,6 +23,7 @@ DEFAULT_Z_GATE = 4.0
 DEFAULT_KS_GATE = 0.05
 DEFAULT_N_BATCHES = 20
 MIN_REPS = 100              # fewest replicates compare_to_theory accepts
+KS_MIN_REPS = 1000          # fewest samples normality_distance accepts
 STREAM_BLOCK = 1024         # replicate streams derived together
 
 # SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx and
@@ -368,6 +367,8 @@ def run_experiment(model: str, params: dict, reps: int, seed: int,
     if workers <= 1:
         chunks = [_compute_chunk(model, params, seed, 0, reps)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
+
         n_chunks = min(max(4 * workers, 1), reps)
         bounds = np.linspace(0, reps, n_chunks + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -424,6 +425,7 @@ class VerificationReport:
     ks_gate: float
     entries: list[ComparisonEntry] = field(default_factory=list)
     normality: list[dict] = field(default_factory=list)
+    skipped: list[dict] = field(default_factory=list)   # gates not run, with why
     passed: bool = False
     wall_time: float = 0.0
 
@@ -439,6 +441,7 @@ class VerificationReport:
             "ks_gate": self.ks_gate,
             "entries": [vars(e) for e in self.entries],
             "normality": self.normality,
+            "skipped": self.skipped,
             "passed": self.passed,
             "wall_time": self.wall_time,
         }
@@ -449,7 +452,8 @@ class VerificationReport:
             experiment=d["experiment"], params=d["params"], seed=d["seed"],
             z_gate=d["z_gate"], ks_gate=d["ks_gate"],
             entries=[ComparisonEntry(**e) for e in d["entries"]],
-            normality=list(d["normality"]), passed=d["passed"],
+            normality=list(d["normality"]), skipped=list(d["skipped"]),
+            passed=d["passed"],
             wall_time=d["wall_time"],
         )
         return rep
@@ -509,16 +513,24 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
 
 def normality_distance(samples, mu: float, sigma2: float) -> float:
     """Kolmogorov-Smirnov sup distance between the empirical CDF and
-    N(mu, sigma2)."""
+    N(mu, sigma2).
+
+    The Gaussian CDF is evaluated once per distinct sample value: within a run
+    of ties i/n - F peaks at the run's last index and F - (i-1)/n at its first,
+    so the sup is the one over all samples.
+    """
     samples = np.sort(np.asarray(samples, dtype=float))
     if sigma2 <= 0.0:
         raise DegenerateVariance(f"sigma2 = {sigma2} is not positive")
-    if len(samples) < 1000:
-        raise InsufficientReplicates(f"need >= 1000 samples, got {len(samples)}")
     n = len(samples)
-    cdf = ndtr((samples - mu) / math.sqrt(sigma2))
-    upper = np.arange(1, n + 1) / n - cdf
-    lower = cdf - np.arange(0, n) / n
+    if n < KS_MIN_REPS:
+        raise InsufficientReplicates(f"need >= {KS_MIN_REPS} samples, got {n}")
+    first = np.flatnonzero(np.r_[True, samples[1:] != samples[:-1]])
+    end = np.r_[first[1:], n]
+    z = (samples[first] - mu) / math.sqrt(sigma2)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    upper = end / n - cdf
+    lower = cdf - first / n
     return float(max(upper.max(), lower.max()))
 
 

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from condclt import cli, simulators
+from condclt import cli, mc_engine, simulators
 
 
 def run_cli(*argv):
@@ -73,6 +77,23 @@ class TestSamplingSubcommands:
         assert code == cli.EXIT_GATE_FAILURE
         assert "alloc: FAIL" in capsys.readouterr().out
 
+    def test_skipped_ks_gate_is_recorded(self, tmp_path):
+        out = tmp_path / "report.json"
+        run_cli("alloc", "--n", "200", "--m", "200", "--max-k", "3",
+                "--reps", "500", "--out", str(out))
+        with open(out) as fh:
+            doc = json.load(fh)
+        assert doc["skipped"] == [{"gate": "ks", "reason": "R = 500 < 1000"}]
+        assert doc["normality"] == []
+
+    def test_ks_gate_runs_from_ks_min_reps(self, tmp_path):
+        out = tmp_path / "report.json"
+        run_cli("alloc", "--n", "200", "--m", "200", "--max-k", "3",
+                "--reps", str(mc_engine.KS_MIN_REPS), "--out", str(out))
+        report = cli.parse_report(str(out))
+        assert report.skipped == []
+        assert [e["index"] for e in report.normality] == [0, 1, 2, 3]
+
     def test_worker_flag_does_not_change_report(self, tmp_path):
         outs = []
         for workers, name in [("1", "a.json"), ("2", "b.json")]:
@@ -84,6 +105,30 @@ class TestSamplingSubcommands:
             doc.pop("wall_time")
             outs.append(doc)
         assert outs[0] == outs[1]
+
+
+class TestImports:
+    def test_runs_load_no_scipy(self):
+        """Every subcommand runs without scipy, and importing the CLI loads no
+        multiprocessing module."""
+        script = "\n".join([
+            "import json, sys",
+            "from condclt import cli",
+            "loaded = set(sys.modules)",
+            "for argv in (['alloc', '--n', '200', '--m', '200', '--reps', '1000'],",
+            "             ['transfer'], ['monotone'], ['cwold']):",
+            "    cli.main(argv)",
+            "print(json.dumps({'import': sorted(loaded), 'runs': sorted(sys.modules)}))",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
+        modules = json.loads(proc.stdout.splitlines()[-1])
+        assert "numpy" in modules["runs"]
+        assert [m for m in modules["runs"] if m.split(".")[0] == "scipy"] == []
+        assert [m for m in modules["import"] if m.split(".")[0] == "multiprocessing"] == []
 
 
 class TestConfigFile:

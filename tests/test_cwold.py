@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import polygamma
 
 from condclt import cwold
 from condclt.errors import ArityMismatch, NoDifferenceFound
@@ -151,6 +152,16 @@ class TestMarginalDirections:
 class TestLatticeMass:
     def test_total_mass_is_one(self):
         assert abs(cwold.periodic_triangular_lattice_mass() - 1.0) < 1e-12
+
+    def test_trigamma_matches_scipy(self):
+        xs = np.concatenate([np.geomspace(0.5, 1e7, 2000), np.arange(0.5, 40.0, 0.25)])
+        for x in xs:
+            ref = float(polygamma(1, x))
+            assert abs(cwold._trigamma(float(x)) - ref) <= 1e-14 * ref
+
+    def test_trigamma_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            cwold._trigamma(0.0)
 
     def test_partial_sum_without_tail_falls_short(self):
         ks = np.arange(100, dtype=float)

@@ -154,6 +154,34 @@ class TestConjugateByTransform:
             gc.conjugate_by_transform(np.zeros((jg.q, jg.q)), jg, 0.0)
 
 
+class TestConditionalGaussianPsd:
+    def test_psd_cov_is_kept(self):
+        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+        out = gc.ConditionalGaussian(mean=np.zeros(2), cov=cov, gamma=np.zeros((2, 1)))
+        assert np.array_equal(out.cov, cov)
+
+    def test_rounding_debris_is_clamped(self):
+        v = np.array([1.0, -1.0]) / math.sqrt(2.0)
+        cov = np.eye(2) - (1.0 + 1e-12) * np.outer(v, v)    # eigenvalues 1, -1e-12
+        out = gc.ConditionalGaussian(mean=np.zeros(2), cov=cov, gamma=np.zeros((2, 1)))
+        assert np.linalg.eigvalsh(out.cov).min() >= -1e-15
+        assert np.abs(out.cov - cov).max() < 1e-11
+
+    def test_below_floor_raises(self):
+        cov = np.array([[1.0, 0.0], [0.0, -1e-3]])
+        with pytest.raises(InvalidCovariance, match="below the PSD floor"):
+            gc.ConditionalGaussian(mean=np.zeros(2), cov=cov, gamma=np.zeros((2, 1)))
+
+    def test_one_eigendecomposition(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda a, real=real, name=name: calls.append(name) or real(a))
+        gc.ConditionalGaussian(mean=np.zeros(3), cov=np.eye(3), gamma=np.zeros((3, 1)))
+        assert calls == ["eigh"]
+
+
 def random_psd_joint(rng, q, r):
     d = q + r
     a = rng.standard_normal((d, d + 2))

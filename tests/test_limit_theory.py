@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 from condclt import limit_theory as lt
 from condclt.errors import InvalidA, InvalidCovariance, InvalidLambda, TruncationError
@@ -46,11 +48,33 @@ class TestPoissonTail:
         direct = math.fsum(lt.poisson_pmf(lam, j) for j in range(k + 1, k + 401))
         assert lt.poisson_tail_mass(lam, k) == pytest.approx(direct, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0, 4.0, 10.0, 50.0, 200.0])
+    def test_matches_scipy_pdtrc(self, lam):
+        for k in range(int(3 * lam) + 61):
+            ref = float(pdtrc(k, lam))
+            if ref > 1e-300:
+                assert lt.poisson_tail_mass(lam, k) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_negative_k_is_whole_mass(self):
+        assert lt.poisson_tail_mass(3.0, -1) == 1.0
+
     def test_truncation_index_is_smallest(self):
-        for lam in [0.1, 0.5, 1.0, 2.0, 4.0, 7.3, 20.0]:
+        for lam in [0.1, 0.5, 1.0, 2.0, 4.0, 7.3, 20.0, 1e3]:
             k = lt.truncation_index(lam)
             assert lt.poisson_tail_mass(lam, k) < lt.TAIL_MASS_GATE
             assert k == 0 or lt.poisson_tail_mass(lam, k - 1) >= lt.TAIL_MASS_GATE
+
+    def test_truncation_index_matches_linear_scan(self):
+        for lam in np.linspace(0.1, 20.0, 40):
+            k = next(k for k in range(10_001)
+                     if lt.poisson_tail_mass(lam, k) < lt.TAIL_MASS_GATE)
+            assert lt.truncation_index(lam) == k
+
+    def test_truncation_index_cap_raises_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(TruncationError):
+            lt.truncation_index(1e5)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestAllocCov:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import ndtr
 
 from condclt import limit_theory as lt
 from condclt import mc_engine as mc
@@ -271,11 +272,23 @@ class TestCompareToTheory:
         run = mc.run_experiment("alloc", {"n": 4, "m": 3, "max_k": 1},
                                 reps=500, seed=0)
         report = mc.compare_to_theory(run, run.acc.mean, run.acc.covariance())
+        report.skipped.append({"gate": "ks", "reason": "R = 500 < 1000"})
         back = mc.VerificationReport.from_dict(report.to_dict())
+        assert back.skipped == report.skipped
         assert back.experiment == report.experiment
         assert back.passed == report.passed
         assert len(back.entries) == len(report.entries)
         assert back.entries[0].z == report.entries[0].z
+
+
+def _ndtr_normality_distance(samples, mu, sigma2):
+    """The KS distance over all sorted rows, with scipy's Gaussian CDF."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = len(samples)
+    cdf = ndtr((samples - mu) / math.sqrt(sigma2))
+    upper = np.arange(1, n + 1) / n - cdf
+    lower = cdf - np.arange(0, n) / n
+    return float(max(upper.max(), lower.max()))
 
 
 class TestNormalityDistance:
@@ -299,7 +312,19 @@ class TestNormalityDistance:
 
     def test_needs_1000(self):
         with pytest.raises(InsufficientReplicates):
-            mc.normality_distance(np.zeros(10), 0.0, 1.0)
+            mc.normality_distance(np.zeros(mc.KS_MIN_REPS - 1), 0.0, 1.0)
+        assert mc.normality_distance(np.zeros(mc.KS_MIN_REPS), 0.0, 1.0) == 0.5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_all_rows_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        continuous = 0.3 + 1.5 * rng.standard_normal(5000)
+        # standardized occupancy counts: a few dozen distinct values, many ties
+        lattice = (rng.poisson(31.0, size=10_000) - 31.0) / 100.0
+        for x, mu, sigma2 in [(continuous, 0.3, 2.25), (continuous, 0.0, 1.0),
+                              (lattice, 0.0, 0.0031), (lattice, 0.01, 0.005)]:
+            assert abs(mc.normality_distance(x, mu, sigma2)
+                       - _ndtr_normality_distance(x, mu, sigma2)) <= 1e-15
 
 
 class TestGateSoundness:
