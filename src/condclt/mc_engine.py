@@ -485,7 +485,8 @@ def _cov_entries(run: ExperimentRun, theory_cov: np.ndarray,
             if diag_only and i != j:
                 continue
             se = float(se_mat[i, j])
-            z = (est[i, j] - theory_cov[i, j]) / se if se > 0 else 0.0
+            diff = est[i, j] - theory_cov[i, j]
+            z = diff / se if se > 0 else (0.0 if diff == 0.0 else math.inf)
             out.append(ComparisonEntry("cov", i, j, float(theory_cov[i, j]),
                                        float(est[i, j]), se, float(z)))
     return out

@@ -76,7 +76,8 @@ class SpacingsSample:
 
 
 def _bucket(values: np.ndarray, total_units: int, max_k: int):
-    """Split a per-item value array into counts 0..max_k plus tail bookkeeping."""
+    """Split a per-item value array into counts 0..max_k plus tail bookkeeping,
+    in the field order of OccupancyProfile and DegreeCounts."""
     counts_full = np.bincount(values, minlength=max_k + 1)
     counts = counts_full[: max_k + 1].copy()
     tail_items = int(counts_full[max_k + 1:].sum())
@@ -96,9 +97,7 @@ def sample_allocation(n: int, m: int, rng: np.random.Generator,
         occ = np.zeros(n, dtype=np.int64)
     else:
         occ = np.bincount(rng.integers(0, n, size=m), minlength=n)
-    counts, tail_boxes, tail_balls = _bucket(occ, m, max_k)
-    return OccupancyProfile(n=n, m=m, counts=counts, tail_boxes=tail_boxes,
-                            tail_balls=tail_balls)
+    return OccupancyProfile(n, m, *_bucket(occ, m, max_k))
 
 
 def sample_poissonized_allocation(n: int, lam: float, rng: np.random.Generator,
@@ -111,44 +110,47 @@ def sample_poissonized_allocation(n: int, lam: float, rng: np.random.Generator,
         raise ValueError(f"lambda must be positive, got {lam}")
     occ = rng.poisson(lam, size=n)
     m = int(occ.sum())
-    counts, tail_boxes, tail_balls = _bucket(occ, m, max_k)
-    return OccupancyProfile(n=n, m=m, counts=counts, tail_boxes=tail_boxes,
-                            tail_balls=tail_balls), m
+    return OccupancyProfile(n, m, *_bucket(occ, m, max_k)), m
 
 
-def _decode_pairs(n: int, idx: np.ndarray):
+def _decode_pairs(n: int, idx: np.ndarray, out: np.ndarray | None = None):
     """Invert the lexicographic enumeration of the C(n,2) vertex pairs.
 
     Row i (pairs (i, i+1..n-1)) starts at row_start(i) = i(2n-i-1)/2; the row
     of idx is the floor of the smaller root of row_start(i) = idx, corrected by
     one integer step either way for float rounding of the square root.  The
     discriminant is exact in int64 and rounded to float once; the root is
-    non-negative, so truncation is its floor."""
+    non-negative, so truncation is its floor.  i and j are the two halves of
+    the int64 endpoint buffer out (allocated when None), and the row starts
+    are computed in j's half."""
+    if out is None:
+        out = np.empty(2 * len(idx), dtype=np.int64)
+    i, j = out.reshape(2, -1)
     b = 2 * n - 1
-    disc = idx * -8
-    disc += b * b
-    root = np.sqrt(disc)
+    np.multiply(idx, -8, out=j)
+    j += b * b
+    root = np.sqrt(j, dtype=np.float64)
     np.subtract(b, root, out=root)
-    root /= 2
-    i = root.astype(np.int64)
-    start = (b - i) * i >> 1                # row_start(i)
-    high = start > idx
-    if high.any():                          # rounded one row too high
-        i -= high
-        start = (b - i) * i >> 1
-    j = idx - start
-    j += i + 1
-    low = j >= n
-    if low.any():                           # rounded one row too low
-        i += low
-        j = idx - ((b - i) * i >> 1) + i + 1
+    np.divide(root, 2, out=i, casting="unsafe")
+
+    def decode_j():                         # j = idx - row_start(i) + i + 1
+        np.subtract(b, i, out=j)
+        np.multiply(j, i, out=j)
+        np.right_shift(j, 1, out=j)
+        np.subtract(idx, j, out=j)
+        np.add(j, i, out=j)
+        np.add(j, 1, out=j)
+
+    decode_j()
+    off = j <= i                            # row_start(i) > idx: one row too high
+    if off.any():
+        i -= off
+        decode_j()
+    np.greater_equal(j, n, out=off)         # idx >= row_start(i + 1): one row too low
+    if off.any():
+        i += off
+        decode_j()
     return i, j
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique(a) for a 1-d integer array: sort, keep each run's first element."""
-    s = np.sort(a)
-    return s[np.concatenate(([True], s[1:] != s[:-1]))]
 
 
 def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -165,24 +167,29 @@ def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
     # uniform m-subset.  Below 2**32 numpy draws int64 and uint32 through the
     # same 32-bit path, so uint32 keeps the stream and halves the sort.
     # shuffle makes the same calls as permutation(pool.size), and is fastest
-    # on 8-byte items.
+    # on 8-byte items.  Each pass sorts in place and keeps the first of each run.
     dtype = np.uint32 if c <= 1 << 32 else np.int64
     pool = np.empty(0, dtype=dtype)
     while pool.size < m:
         draw = rng.integers(0, c, size=max(2 * (m - pool.size) + 16, 64), dtype=dtype)
-        pool = _sorted_unique(np.concatenate([pool, draw]))
+        draw = np.concatenate([pool, draw]) if pool.size else draw
+        draw.sort()
+        first = np.ones(draw.size, dtype=bool)
+        np.not_equal(draw[1:], draw[:-1], out=first[1:])
+        pool = draw[first]
+        del draw, first                     # freed before the next pass or the widening
     pool = pool.astype(np.int64, copy=False)
     rng.shuffle(pool)
-    return pool[:m]
+    pool.resize(m, refcheck=False)          # frees the unused tail in place
+    return pool
 
 
 def _degree_counts_from_indices(n: int, m: int, idx: np.ndarray,
                                 max_k: int) -> DegreeCounts:
-    i, j = _decode_pairs(n, idx)
-    deg = np.bincount(np.concatenate([i, j]), minlength=n)
-    counts, tail_vertices, tail_degree_sum = _bucket(deg, 2 * m, max_k)
-    return DegreeCounts(n=n, m=m, counts=counts, tail_vertices=tail_vertices,
-                        tail_degree_sum=tail_degree_sum)
+    ends = np.empty(2 * len(idx), dtype=np.int64)
+    _decode_pairs(n, idx, out=ends)
+    deg = np.bincount(ends, minlength=n)
+    return DegreeCounts(n, m, *_bucket(deg, 2 * m, max_k))
 
 
 def sample_gnp(n: int, p: float, rng: np.random.Generator,
@@ -227,9 +234,7 @@ def degree_counts_from_edges(n: int, edges, max_k: int = DEFAULT_MAX_K) -> Degre
         deg[u] += 1
         deg[v] += 1
     m = len(seen)
-    counts, tail_vertices, tail_degree_sum = _bucket(deg, 2 * m, max_k)
-    return DegreeCounts(n=n, m=m, counts=counts, tail_vertices=tail_vertices,
-                        tail_degree_sum=tail_degree_sum)
+    return DegreeCounts(n, m, *_bucket(deg, 2 * m, max_k))
 
 
 def sample_spacings(n: int, rng: np.random.Generator) -> SpacingsSample:

@@ -268,6 +268,26 @@ class TestCompareToTheory:
         with pytest.raises(InsufficientReplicates):
             mc.compare_to_theory(run, np.zeros(2), np.eye(2))
 
+    def test_zero_stderr_covariance_fails(self):
+        # Constant integer rows: every batch covariance is exactly 0, so each
+        # batch-means SE is 0 and only a zero difference may read z = 0.
+        rows = np.tile(np.array([3, 1, 0]), (200, 1))
+        bounds = np.linspace(0, 200, mc.DEFAULT_N_BATCHES + 1, dtype=int)
+        batch_accs = [mc.MomentAccumulator.from_block(rows[lo:hi])
+                      for lo, hi in zip(bounds[:-1], bounds[1:])]
+        total = batch_accs[0]
+        for acc in batch_accs[1:]:
+            total = total.merge(acc)
+        run = mc.ExperimentRun(model="alloc", params={"n": 4, "m": 3, "max_k": 2},
+                               reps=200, seed=0, acc=total, batch_accs=batch_accs,
+                               samples=rows.astype(float))
+        report = mc.compare_to_theory(run, run.acc.mean, np.eye(3))
+        cov = {(e.i, e.j): e for e in report.entries if e.kind == "cov"}
+        assert all(e.stderr == 0.0 for e in cov.values())
+        assert all(cov[i, i].z == math.inf for i in range(3))
+        assert cov[0, 1].z == 0.0 and cov[1, 2].z == 0.0
+        assert not report.passed
+
     def test_report_roundtrip(self):
         run = mc.run_experiment("alloc", {"n": 4, "m": 3, "max_k": 1},
                                 reps=500, seed=0)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +170,49 @@ def _row_start(n, i):
     return i * (2 * n - i - 1) // 2
 
 
+def _reference_decode_pairs(n, idx):
+    """The allocating pair decode (disc, root, i, start and j each a fresh
+    array): sim._decode_pairs must give the same endpoints."""
+    b = 2 * n - 1
+    root = np.sqrt(idx * -8 + b * b)
+    i = ((b - root) / 2).astype(np.int64)
+    start = (b - i) * i >> 1
+    high = start > idx
+    if high.any():
+        i -= high
+        start = (b - i) * i >> 1
+    j = idx - start + i + 1
+    low = j >= n
+    if low.any():
+        i += low
+        j = idx - ((b - i) * i >> 1) + i + 1
+    return i, j
+
+
+def _reference_degree_counts(n, m, idx, max_k):
+    """Decode, concatenate, bincount and bucket, as the degree path did before
+    it decoded into one endpoint buffer; returns the three DegreeCounts
+    fields it must reproduce."""
+    i, j = _reference_decode_pairs(n, idx)
+    deg = np.bincount(np.concatenate([i, j]), minlength=n)
+    counts_full = np.bincount(deg, minlength=max_k + 1)
+    counts = counts_full[: max_k + 1]
+    tail_degree_sum = 2 * m - int((np.arange(max_k + 1) * counts).sum())
+    return counts, int(counts_full[max_k + 1:].sum()), tail_degree_sum
+
+
+def _boundary_indices(n):
+    """Edge indices around the row starts, at both ends of the range, plus
+    100 000 uniform ones."""
+    c = n * (n - 1) // 2
+    rows = np.array([1, 2, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n - 2],
+                    dtype=np.int64)
+    starts = _row_start(n, rows)
+    edges = np.concatenate([starts - 1, starts, starts + 1, [0, 1, c - 2]])
+    edges = edges[edges < c]    # row n-2 holds the single index c-1
+    return np.concatenate([edges, rng_for(n).integers(0, c, size=100_000)])
+
+
 class TestEdgeDraw:
     @pytest.mark.parametrize("n,m", [(2000, 2000), (50, 700), (6, 14), (2, 1)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
@@ -217,19 +264,109 @@ class TestDecodePairs:
     # integer fix-up.
     @pytest.mark.parametrize("n", [10**6, 3 * 10**6, 10**9])
     def test_round_trip_large_n(self, n):
-        c = n * (n - 1) // 2
-        rows = np.array([1, 2, n // 2 - 1, n // 2, n // 2 + 1, n - 3, n - 2],
-                        dtype=np.int64)
-        starts = _row_start(n, rows)
-        edges = np.concatenate([starts - 1, starts, starts + 1, [0, 1, c - 2]])
-        edges = edges[edges < c]    # row n-2 holds the single index c-1
-        idx = np.concatenate([edges, rng_for(n).integers(0, c, size=100_000)])
+        idx = _boundary_indices(n)
         i, j = sim._decode_pairs(n, idx)
         assert np.all((0 <= i) & (i < j) & (j < n))
         assert np.array_equal(_row_start(n, i) + (j - i - 1), idx)
 
+    @pytest.mark.parametrize("n", [2, 2000, 10**6, 10**9])
+    def test_out_buffer_matches_allocating_form(self, n):
+        idx = _boundary_indices(n) if n > 5 else np.zeros(3, dtype=np.int64)
+        buf = np.full(2 * len(idx), -1, dtype=np.int64)
+        i, j = sim._decode_pairs(n, idx, out=buf)
+        k = len(idx)
+        assert np.shares_memory(i, buf[:k]) and np.shares_memory(j, buf[k:])
+        ref_i, ref_j = _reference_decode_pairs(n, idx)
+        assert buf.tobytes() == np.concatenate([ref_i, ref_j]).tobytes()
+        alloc_i, alloc_j = sim._decode_pairs(n, idx)
+        assert np.array_equal(alloc_i, ref_i) and np.array_equal(alloc_j, ref_j)
+
+
+def _assert_same_degree_path(dc, rng, ref, ref_rng):
+    counts, tail_vertices, tail_degree_sum = ref
+    assert dc.counts.dtype == counts.dtype
+    assert dc.counts.tobytes() == counts.tobytes()
+    assert (dc.tail_vertices, dc.tail_degree_sum) == (tail_vertices, tail_degree_sum)
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+class TestDegreePath:
+    """sample_gnm and sample_gnp against the reference edge draw followed by
+    the reference degree path, rng state included."""
+
+    @staticmethod
+    def check_gnm(n, m, seed, max_k=3):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        dc = sim.sample_gnm(n, m, rng, max_k=max_k)
+        idx, passes = _reference_edge_indices(n, m, ref_rng)
+        _assert_same_degree_path(dc, rng, _reference_degree_counts(n, m, idx, max_k),
+                                 ref_rng)
+        return passes
+
+    @staticmethod
+    def check_gnp(n, p, seed, max_k=3):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        dc = sim.sample_gnp(n, p, rng, max_k=max_k)
+        m = int(ref_rng.binomial(n * (n - 1) // 2, p))
+        idx, _ = _reference_edge_indices(n, m, ref_rng)
+        assert dc.m == m
+        _assert_same_degree_path(dc, rng, _reference_degree_counts(n, m, idx, max_k),
+                                 ref_rng)
+
+    @pytest.mark.parametrize("n,m", [(2000, 2000), (50, 700), (6, 14), (2, 1),
+                                     (92682, 50), (92683, 50)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7])
+    def test_matches_reference(self, n, m, seed):
+        self.check_gnm(n, m, seed)
+        self.check_gnp(n, m / (n * (n - 1) // 2), seed)
+
+    @pytest.mark.parametrize("seed", [43539, 219043, 865137])
+    def test_matches_reference_over_several_passes(self, seed):
+        assert self.check_gnm(10, 27, seed) >= 2
+
+    def test_matches_reference_at_1e5(self):
+        self.check_gnm(10**5, 10**5, 11)
+        self.check_gnp(10**5, 2e-5, 11)
+
+
+class TestTransientMemory:
+    def test_gnm_peak_stays_near_the_edge_draw(self):
+        # The rejection pass draws 2m + 16 int64 indices (C(n,2) > 2**32); the
+        # peak of the whole call, that draw included, stays below 2.75 times it.
+        n = m = 10**5
+        sim.sample_gnm(n, m, rng_for(0))        # warm-up
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sim.sample_gnm(n, m, rng_for(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * (16 * m + 128), peak
+
 
 class TestValidate:
+    def test_checks_survive_optimize_flag(self):
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import numpy as np\n"
+                "from condclt.simulators import (DegreeCounts, OccupancyProfile,\n"
+                "                                SpacingsSample)\n"
+                "bad = [OccupancyProfile(5, 2, np.array([3, 2]), 1, 0),\n"
+                "       OccupancyProfile(5, 3, np.array([3, 2]), 0, 0),\n"
+                "       DegreeCounts(4, 1, np.array([2, 2]), 1, 0),\n"
+                "       DegreeCounts(4, 2, np.array([2, 2]), 0, 0),\n"
+                "       SpacingsSample(2, np.array([1.0, 0.0])),\n"
+                "       SpacingsSample(2, np.array([0.5, 0.6]))]\n"
+                "for sample in bad:\n"
+                "    try:\n"
+                "        sample.validate()\n"
+                "    except ValueError:\n"
+                "        continue\n"
+                "    raise SystemExit(1)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+        assert out.returncode == 0
+
     def test_occupancy_box_count(self):
         prof = sim.OccupancyProfile(n=5, m=2, counts=np.array([3, 2]),
                                     tail_boxes=1, tail_balls=0)
