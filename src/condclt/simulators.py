@@ -76,8 +76,7 @@ class SpacingsSample:
 
 
 def _bucket(values: np.ndarray, total_units: int, max_k: int):
-    """Split a per-item value array into counts 0..max_k plus tail bookkeeping,
-    in the field order of OccupancyProfile and DegreeCounts."""
+    """Split a per-item value array into counts 0..max_k plus tail bookkeeping."""
     counts_full = np.bincount(values, minlength=max_k + 1)
     counts = counts_full[: max_k + 1].copy()
     tail_items = int(counts_full[max_k + 1:].sum())
@@ -93,11 +92,10 @@ def sample_allocation(n: int, m: int, rng: np.random.Generator,
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    if m == 0:
-        occ = np.zeros(n, dtype=np.int64)
-    else:
-        occ = np.bincount(rng.integers(0, n, size=m), minlength=n)
-    return OccupancyProfile(n, m, *_bucket(occ, m, max_k))
+    occ = np.bincount(rng.integers(0, n, size=m), minlength=n)   # m = 0 draws nothing
+    counts, tail_boxes, tail_balls = _bucket(occ, m, max_k)
+    return OccupancyProfile(n=n, m=m, counts=counts, tail_boxes=tail_boxes,
+                            tail_balls=tail_balls)
 
 
 def sample_poissonized_allocation(n: int, lam: float, rng: np.random.Generator,
@@ -110,22 +108,22 @@ def sample_poissonized_allocation(n: int, lam: float, rng: np.random.Generator,
         raise ValueError(f"lambda must be positive, got {lam}")
     occ = rng.poisson(lam, size=n)
     m = int(occ.sum())
-    return OccupancyProfile(n, m, *_bucket(occ, m, max_k)), m
+    counts, tail_boxes, tail_balls = _bucket(occ, m, max_k)
+    return OccupancyProfile(n=n, m=m, counts=counts, tail_boxes=tail_boxes,
+                            tail_balls=tail_balls), m
 
 
-def _decode_pairs(n: int, idx: np.ndarray, out: np.ndarray | None = None):
+def _decode_pairs(n: int, idx: np.ndarray) -> np.ndarray:
     """Invert the lexicographic enumeration of the C(n,2) vertex pairs.
 
     Row i (pairs (i, i+1..n-1)) starts at row_start(i) = i(2n-i-1)/2; the row
     of idx is the floor of the smaller root of row_start(i) = idx, corrected by
     one integer step either way for float rounding of the square root.  The
     discriminant is exact in int64 and rounded to float once; the root is
-    non-negative, so truncation is its floor.  i and j are the two halves of
-    the int64 endpoint buffer out (allocated when None), and the row starts
-    are computed in j's half."""
-    if out is None:
-        out = np.empty(2 * len(idx), dtype=np.int64)
-    i, j = out.reshape(2, -1)
+    non-negative, so truncation is its floor.  Returns the (2, len(idx)) int64
+    endpoint array with rows i and j; the row starts are computed in row j."""
+    ends = np.empty((2, len(idx)), dtype=np.int64)
+    i, j = ends
     b = 2 * n - 1
     np.multiply(idx, -8, out=j)
     j += b * b
@@ -133,12 +131,11 @@ def _decode_pairs(n: int, idx: np.ndarray, out: np.ndarray | None = None):
     np.subtract(b, root, out=root)
     np.divide(root, 2, out=i, casting="unsafe")
 
-    def decode_j():                         # j = idx - row_start(i) + i + 1
-        np.subtract(b, i, out=j)
+    def decode_j():     # j = idx - row_start(i) + i + 1 = idx - (b-2-i)i/2 + 1
+        np.subtract(b - 2, i, out=j)
         np.multiply(j, i, out=j)
         np.right_shift(j, 1, out=j)
         np.subtract(idx, j, out=j)
-        np.add(j, i, out=j)
         np.add(j, 1, out=j)
 
     decode_j()
@@ -150,7 +147,7 @@ def _decode_pairs(n: int, idx: np.ndarray, out: np.ndarray | None = None):
     if off.any():
         i += off
         decode_j()
-    return i, j
+    return ends
 
 
 def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -186,10 +183,10 @@ def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
 
 def _degree_counts_from_indices(n: int, m: int, idx: np.ndarray,
                                 max_k: int) -> DegreeCounts:
-    ends = np.empty(2 * len(idx), dtype=np.int64)
-    _decode_pairs(n, idx, out=ends)
-    deg = np.bincount(ends, minlength=n)
-    return DegreeCounts(n, m, *_bucket(deg, 2 * m, max_k))
+    deg = np.bincount(_decode_pairs(n, idx).ravel(), minlength=n)
+    counts, tail_vertices, tail_degree_sum = _bucket(deg, 2 * m, max_k)
+    return DegreeCounts(n=n, m=m, counts=counts, tail_vertices=tail_vertices,
+                        tail_degree_sum=tail_degree_sum)
 
 
 def sample_gnp(n: int, p: float, rng: np.random.Generator,
@@ -234,7 +231,9 @@ def degree_counts_from_edges(n: int, edges, max_k: int = DEFAULT_MAX_K) -> Degre
         deg[u] += 1
         deg[v] += 1
     m = len(seen)
-    return DegreeCounts(n, m, *_bucket(deg, 2 * m, max_k))
+    counts, tail_vertices, tail_degree_sum = _bucket(deg, 2 * m, max_k)
+    return DegreeCounts(n=n, m=m, counts=counts, tail_vertices=tail_vertices,
+                        tail_degree_sum=tail_degree_sum)
 
 
 def sample_spacings(n: int, rng: np.random.Generator) -> SpacingsSample:
