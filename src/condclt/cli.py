@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from . import cwold, limit_theory, mc_engine, monotone
+from . import __version__, cwold, limit_theory, mc_engine, monotone
 from .errors import CondCltError, TruncationError
 
 EXIT_OK = 0
@@ -87,9 +87,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                 help="max |z| accepted (default 4)")
             arg(p, "--ks-gate", type=float, default=mc_engine.DEFAULT_KS_GATE,
                 help="max KS distance accepted (default 0.05)")
-            arg(p, "--workers", type=int,
-                default=int(os.environ.get("CONDCLT_THREADS", "1")),
-                help="worker processes (does not affect results)")
+            arg(p, "--workers", type=int, default=1,
+                help="worker processes, at most the CPU count (does not affect results)")
             arg(p, "--dump", help="binary dump path for raw count vectors")
 
     p = sub.add_parser("alloc", help="balls-into-boxes occupancy counts")
@@ -165,9 +164,16 @@ def check_args(args) -> None:
     """Reject, with a ValueError, arguments the chosen experiment cannot run
     with, before anything runs."""
     if args.experiment in mc_engine.EXPERIMENT_MODELS:
-        mc_engine.check_params(args.experiment, _sampling_params(args), args.seed)
+        params = _sampling_params(args)
+        mc_engine.check_params(args.experiment, params, args.seed)
+        if args.experiment != "spacings" and not mc_engine.model_lambda_n(
+                args.experiment, params) > 0:
+            raise ValueError("the limit laws need lambda_n > 0 (m > 0 or p > 0)")
         if args.reps < mc_engine.MIN_REPS:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.workers <= cpus:
+            raise ValueError(f"workers must be in [1, {cpus}], got {args.workers}")
     elif args.experiment == "transfer":
         if not 0.0 < args.lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {args.lam}")
@@ -320,6 +326,9 @@ def main(argv=None) -> int:
             report = _run_monotone(args)
         else:
             report = _run_cwold(args)
+        report.provenance = {"condclt": __version__, "numpy": np.__version__,
+                             "python": sys.version.split()[0], "seed": args.seed,
+                             "workers": getattr(args, "workers", 1), "argv": argv}
         emit_report(report, args.out, args.table)
     except (CondCltError, OSError) as exc:
         print(f"condclt: numeric/IO error: {exc}", file=sys.stderr)

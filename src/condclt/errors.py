@@ -41,14 +41,6 @@ class NotComparable(CondCltError):
     pass
 
 
-class DuplicateEdge(CondCltError):
-    pass
-
-
-class SelfLoop(CondCltError):
-    pass
-
-
 class TooManyEdges(CondCltError):
     pass
 

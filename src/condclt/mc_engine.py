@@ -1,8 +1,10 @@
 """Replicated Monte Carlo harness.
 
-Each replicate draws one finite-n count vector; the raw count matrix is then
-standardized by the centering/scaling sequences appropriate to the model and
-fed, one block of rows per batch, into mergeable moment accumulators.
+Each replicate counts the box loads or vertex degrees that its model's load
+kernel in ``simulators`` draws (spacings: the exceedances) up to max_k, straight
+into one raw count matrix.  The matrix is standardized by the centering/scaling
+sequences of the model and fed, one block of rows per batch, into mergeable
+moment accumulators.
 Replicate i draws from ``default_rng(SeedSequence([seed, i]))``, so the
 estimates do not depend on the worker count or on how replicates are chunked.
 """
@@ -183,7 +185,8 @@ def standardization_for(model: str, params: dict) -> StandardizationSpec:
         b = np.array([n * math.exp(-params["a"])])
     else:
         lam_n = model_lambda_n(model, params)
-        b = n * np.array([limit_theory.poisson_pmf(lam_n, k)
+        b = n * np.array([limit_theory.poisson_pmf(lam_n, k) if lam_n > 0
+                          else float(k == 0)    # Po(0) is the point mass at 0
                           for k in range(params["max_k"] + 1)])
     return StandardizationSpec(a_n=math.sqrt(n), b_n=b)
 
@@ -304,9 +307,9 @@ def _replicate_rngs(seed: int, lo: int, hi: int):
 
 
 def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
-    """Raw count rows lo..hi-1, each drawn by the model's public sampler from
-    its own stream; returns the rows, the stream-derivation time and the total
-    time."""
+    """Raw count rows lo..hi-1, each drawn from its own stream by the model's
+    load kernel (the spacings sampler for spacings) and counted up to max_k;
+    returns the rows, the stream-derivation time and the total time."""
     start = time.perf_counter()
     dim = replicate_dim(model, params)
     n = params["n"]
@@ -315,12 +318,12 @@ def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
             return simulators.exceedance_count(simulators.sample_spacings(n, rng),
                                                params["a"])
     else:
-        sampler = {"alloc": simulators.sample_allocation, "gnp": simulators.sample_gnp,
-                   "gnm": simulators.sample_gnm}[model]
-        size = params["p"] if model == "gnp" else params["m"]
+        kernel = simulators.allocation_loads if model == "alloc" else simulators.degree_loads
+        c = n * (n - 1) // 2
 
-        def draw(rng):
-            return sampler(n, size, rng, max_k=params["max_k"]).counts[:dim]
+        def draw(rng):      # gnp draws its edge count first, as sample_gnp does
+            m = int(rng.binomial(c, params["p"])) if model == "gnp" else params["m"]
+            return np.bincount(kernel(n, m, rng), minlength=dim)[:dim]
 
     out = np.empty((hi - lo, dim), dtype=np.int64)
     sampling_s = 0.0
@@ -369,9 +372,9 @@ def run_experiment(model: str, params: dict, reps: int, seed: int,
     else:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs multiprocessing
 
-        n_chunks = min(max(4 * workers, 1), reps)
+        n_chunks = min(4 * workers, reps)
         bounds = np.linspace(0, reps, n_chunks + 1, dtype=int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
             futures = [
                 pool.submit(_compute_chunk, model, params, seed, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])
@@ -428,6 +431,8 @@ class VerificationReport:
     skipped: list[dict] = field(default_factory=list)   # gates not run, with why
     passed: bool = False
     wall_time: float = 0.0
+    timings: dict = field(default_factory=dict)         # ExperimentRun.timings
+    provenance: dict = field(default_factory=dict)      # versions, seed, workers, argv
 
     def max_abs_z(self) -> float:
         return max((abs(e.z) for e in self.entries), default=0.0)
@@ -444,19 +449,20 @@ class VerificationReport:
             "skipped": self.skipped,
             "passed": self.passed,
             "wall_time": self.wall_time,
+            "timings": self.timings,
+            "provenance": self.provenance,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
-        rep = VerificationReport(
+        return VerificationReport(
             experiment=d["experiment"], params=d["params"], seed=d["seed"],
             z_gate=d["z_gate"], ks_gate=d["ks_gate"],
             entries=[ComparisonEntry(**e) for e in d["entries"]],
             normality=list(d["normality"]), skipped=list(d["skipped"]),
-            passed=d["passed"],
-            wall_time=d["wall_time"],
+            passed=d["passed"], wall_time=d["wall_time"],
+            timings=dict(d.get("timings", {})), provenance=dict(d.get("provenance", {})),
         )
-        return rep
 
 
 def _mean_entries(run: ExperimentRun, theory_mean: np.ndarray) -> list[ComparisonEntry]:
@@ -506,6 +512,7 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
     report = VerificationReport(
         experiment=run.model, params=run.params, seed=run.seed,
         z_gate=z_gate, ks_gate=DEFAULT_KS_GATE, wall_time=run.wall_time,
+        timings=dict(run.timings),
     )
     report.entries = _mean_entries(run, theory_mean) + _cov_entries(run, theory_cov)
     report.passed = report.max_abs_z() <= z_gate

@@ -2,9 +2,10 @@
 
 The graph samplers never materialize an adjacency structure; they work with
 edge indices into the C(n,2) pairs and keep only the degree array, so n in
-the 10^5..10^6 range stays cheap.  Count vectors are truncated at a tail
-bucket while tracking tail occupancy, so the conservation identities hold
-exactly on every draw.
+the 10^5..10^6 range stays cheap.  The load kernels ``allocation_loads`` and
+``degree_loads`` draw the per-box and per-vertex loads; the samplers truncate
+their count vectors at a tail bucket while tracking tail occupancy, so the
+conservation identities hold exactly on every draw.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateEdge, SelfLoop, TooManyEdges
+from .errors import TooManyEdges
 
 DEFAULT_MAX_K = 40
 
@@ -85,6 +86,11 @@ def _bucket(values: np.ndarray, total_units: int, max_k: int):
     return counts, tail_items, tail_units
 
 
+def allocation_loads(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Box loads of m balls thrown uniformly and independently into n boxes."""
+    return np.bincount(rng.integers(0, n, size=m), minlength=n)   # m = 0 draws nothing
+
+
 def sample_allocation(n: int, m: int, rng: np.random.Generator,
                       max_k: int = DEFAULT_MAX_K) -> OccupancyProfile:
     """Throw m balls uniformly and independently into n boxes."""
@@ -92,8 +98,7 @@ def sample_allocation(n: int, m: int, rng: np.random.Generator,
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    occ = np.bincount(rng.integers(0, n, size=m), minlength=n)   # m = 0 draws nothing
-    counts, tail_boxes, tail_balls = _bucket(occ, m, max_k)
+    counts, tail_boxes, tail_balls = _bucket(allocation_loads(n, m, rng), m, max_k)
     return OccupancyProfile(n=n, m=m, counts=counts, tail_boxes=tail_boxes,
                             tail_balls=tail_balls)
 
@@ -181,9 +186,13 @@ def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
     return pool
 
 
-def _degree_counts_from_indices(n: int, m: int, idx: np.ndarray,
-                                max_k: int) -> DegreeCounts:
-    deg = np.bincount(_decode_pairs(n, idx).ravel(), minlength=n)
+def degree_loads(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Vertex degrees of a uniformly random graph with m edges on n vertices."""
+    return np.bincount(_decode_pairs(n, _sample_edge_indices(n, m, rng)).ravel(),
+                       minlength=n)
+
+
+def _degree_counts(n: int, m: int, deg: np.ndarray, max_k: int) -> DegreeCounts:
     counts, tail_vertices, tail_degree_sum = _bucket(deg, 2 * m, max_k)
     return DegreeCounts(n=n, m=m, counts=counts, tail_vertices=tail_vertices,
                         tail_degree_sum=tail_degree_sum)
@@ -200,10 +209,8 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator,
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
-    c = n * (n - 1) // 2
-    m = int(rng.binomial(c, p)) if c > 0 else 0
-    idx = _sample_edge_indices(n, m, rng)
-    return _degree_counts_from_indices(n, m, idx, max_k)
+    m = int(rng.binomial(n * (n - 1) // 2, p))     # no draw when C(n,2) = 0
+    return _degree_counts(n, m, degree_loads(n, m, rng), max_k)
 
 
 def sample_gnm(n: int, m: int, rng: np.random.Generator,
@@ -213,27 +220,7 @@ def sample_gnm(n: int, m: int, rng: np.random.Generator,
         raise ValueError(f"n must be >= 1, got {n}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    idx = _sample_edge_indices(n, m, rng)
-    return _degree_counts_from_indices(n, m, idx, max_k)
-
-
-def degree_counts_from_edges(n: int, edges, max_k: int = DEFAULT_MAX_K) -> DegreeCounts:
-    """Degree counts from an explicit edge list; rejects loops and duplicates."""
-    seen = set()
-    deg = np.zeros(n, dtype=np.int64)
-    for u, v in edges:
-        if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdge(f"duplicate edge {key}")
-        seen.add(key)
-        deg[u] += 1
-        deg[v] += 1
-    m = len(seen)
-    counts, tail_vertices, tail_degree_sum = _bucket(deg, 2 * m, max_k)
-    return DegreeCounts(n=n, m=m, counts=counts, tail_vertices=tail_vertices,
-                        tail_degree_sum=tail_degree_sum)
+    return _degree_counts(n, m, degree_loads(n, m, rng), max_k)
 
 
 def sample_spacings(n: int, rng: np.random.Generator) -> SpacingsSample:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import condclt
 from condclt import cli, mc_engine, simulators
 
 
@@ -102,9 +104,38 @@ class TestSamplingSubcommands:
                     "--reps", "240", "--workers", workers, "--out", str(path))
             with open(path) as fh:
                 doc = json.load(fh)
+            # the wall time, phase timings and provenance describe the run, not its result
             doc.pop("wall_time")
+            doc.pop("timings")
+            assert doc.pop("provenance")["workers"] == int(workers)
             outs.append(doc)
         assert outs[0] == outs[1]
+
+    def test_report_carries_timings_and_provenance(self, tmp_path):
+        out = tmp_path / "report.json"
+        argv = ["gnm", "--n", "100", "--m", "100", "--max-k", "3", "--reps", "200",
+                "--seed", "4", "--out", str(out)]
+        assert run_cli(*argv) == cli.EXIT_OK
+        with open(out) as fh:
+            doc = json.load(fh)
+        assert set(doc["timings"]) == {"streams_s", "sampling_s", "standardize_s",
+                                       "accumulate_s", "dump_s"}
+        assert all(t >= 0.0 for t in doc["timings"].values())
+        assert math.isclose(sum(doc["timings"].values()), doc["wall_time"], rel_tol=1e-9)
+        assert doc["provenance"] == {
+            "condclt": condclt.__version__, "numpy": np.__version__,
+            "python": sys.version.split()[0], "seed": 4, "workers": 1, "argv": argv}
+        report = cli.parse_report(str(out))
+        assert report.timings == doc["timings"]
+        assert report.provenance == doc["provenance"]
+
+    def test_analytic_report_carries_provenance(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli("transfer", "--out", str(out)) == cli.EXIT_OK
+        report = cli.parse_report(str(out))
+        assert report.timings == {}
+        assert report.provenance["argv"] == ["transfer", "--out", str(out)]
+        assert report.provenance["workers"] == 1
 
 
 class TestImports:
@@ -193,14 +224,35 @@ class TestArgumentErrors:
         (("spacings", "--n", "100", "--a", "0"), "a must be positive"),
         (("alloc", "--n", "100", "--m", "100", "--max-k", "-1"), "max_k must be >= 0"),
         (("alloc", "--n", "100", "--m", "100", "--seed", "-1"), "seed must be >= 0"),
+        (("alloc", "--n", "10", "--m", "0"), "need lambda_n > 0"),
+        (("gnm", "--n", "10", "--m", "0"), "need lambda_n > 0"),
+        (("gnp", "--n", "10", "--p", "0"), "need lambda_n > 0"),
     ], ids=["n-zero", "m-negative", "p-above-one", "a-zero", "max-k-negative",
-            "seed-negative"])
+            "seed-negative", "alloc-no-balls", "gnm-no-edges", "gnp-p-zero"])
     def test_bad_parameter_is_config_error(self, argv, message, capsys):
         code = run_cli(*argv, "--reps", "200")
         assert code == cli.EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
         assert message in captured.err
         assert "PASS" not in captured.out and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_workers_out_of_range_is_config_error(self, workers, capsys, monkeypatch):
+        # rejected before any pool starts: a pool would fail this test
+        monkeypatch.setattr(mc_engine, "run_experiment", None)
+        code = run_cli("alloc", "--n", "100", "--m", "100", "--reps", "200",
+                       "--workers", str(workers))
+        assert code == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert f"workers must be in [1, {os.cpu_count() or 1}]" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_workers_environment_variable_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CONDCLT_THREADS", "abc")
+        out = tmp_path / "report.json"
+        assert run_cli("alloc", "--n", "100", "--m", "100", "--reps", "200",
+                       "--out", str(out)) == cli.EXIT_OK
+        assert cli.parse_report(str(out)).provenance["workers"] == 1
 
     @pytest.mark.parametrize("argv,message", [
         (("cwold", "--grid", "0"), "grid and T must be positive"),

@@ -196,6 +196,33 @@ class TestRunExperiment:
         assert a.samples.tobytes() == b.samples.tobytes()
         assert a.acc.mean.tobytes() == b.acc.mean.tobytes()
 
+    def test_pool_holds_no_more_workers_than_chunks(self, monkeypatch):
+        import concurrent.futures
+
+        class InlinePool:   # runs each chunk in this process, records the pool size
+            sizes = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        params = {"n": 20, "m": 20, "max_k": 3}
+        run = mc.run_experiment("alloc", params, reps=3, seed=5, workers=64)
+        assert InlinePool.sizes == [3]
+        serial = mc.run_experiment("alloc", params, reps=3, seed=5)
+        assert run.samples.tobytes() == serial.samples.tobytes()
+
     def test_too_few_reps(self):
         with pytest.raises(InsufficientReplicates):
             mc.run_experiment("alloc", {"n": 5, "m": 5, "max_k": 1}, reps=1, seed=0)
@@ -403,6 +430,11 @@ HARNESS_CASES = {
     "gnm-dense": ("gnm", {"n": 8, "m": 25, "max_k": 7}, 60),
     "gnp": ("gnp", {"n": 2000, "p": 0.001, "max_k": 8}, 40),
     "spacings": ("spacings", {"n": 500, "a": 1.0}, 60),
+    "gnp-mostly-empty": ("gnp", {"n": 50, "p": 1e-4, "max_k": 3}, 60),
+    "gnp-one-vertex": ("gnp", {"n": 1, "p": 0.5, "max_k": 2}, 60),
+    "alloc-no-balls": ("alloc", {"n": 7, "m": 0, "max_k": 3}, 60),
+    "alloc-tail-heavy": ("alloc", {"n": 5, "m": 200, "max_k": 2}, 60),
+    "gnm-max-k-0": ("gnm", {"n": 30, "m": 40, "max_k": 0}, 60),
 }
 
 

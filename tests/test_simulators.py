@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from condclt import monotone, simulators as sim
-from condclt.errors import DuplicateEdge, SelfLoop, TooManyEdges
+from condclt.errors import TooManyEdges
 
 
 def rng_for(seed=0):
@@ -320,6 +320,88 @@ class TestDegreePath:
         self.check_gnp(10**5, 2e-5, 11)
 
 
+def _reference_bucket(values, total_units, max_k):
+    """Counts 0..max_k of a per-item value array, the items beyond max_k and
+    the units they hold: the public samplers' profile fields."""
+    counts_full = np.bincount(values, minlength=max_k + 1)
+    counts = counts_full[: max_k + 1].copy()
+    tail_units = total_units - int((np.arange(max_k + 1) * counts).sum())
+    return counts, int(counts_full[max_k + 1:].sum()), tail_units
+
+
+class TestLoadKernels:
+    """The load kernels against a draw and a count written out longhand, rng
+    state included."""
+
+    @pytest.mark.parametrize("n,m", [(10_000, 10_000), (5, 200), (7, 0), (1, 9)])
+    def test_allocation_loads(self, n, m):
+        rng, ref_rng = rng_for(3), rng_for(3)
+        loads = sim.allocation_loads(n, m, rng)
+        ref = np.zeros(n, dtype=np.int64)
+        for box in ref_rng.integers(0, n, size=m).tolist():
+            ref[box] += 1
+        assert loads.dtype == ref.dtype and loads.tobytes() == ref.tobytes()
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+    @pytest.mark.parametrize("n,m", [(30, 60), (8, 25), (2000, 2000), (4, 0)])
+    def test_recount_oracle(self, n, m):
+        rng, ref_rng = rng_for(13), rng_for(13)
+        deg = sim.degree_loads(n, m, rng)
+        idx, _ = _reference_edge_indices(n, m, ref_rng)
+        ref = np.zeros(n, dtype=np.int64)
+        for u, v in zip(*(ends.tolist() for ends in _reference_decode_pairs(n, idx))):
+            ref[u] += 1
+            ref[v] += 1
+        assert deg.dtype == ref.dtype and deg.tobytes() == ref.tobytes()
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
+class TestPublicSamplers:
+    """sample_allocation, sample_gnm and sample_gnp against the reference draw
+    followed by the reference bucketing: counts, tail fields and next draw."""
+
+    @staticmethod
+    def check(profile, tail_fields, rng, ref, ref_rng):
+        counts, tail_items, tail_units = ref
+        assert profile.counts.dtype == counts.dtype
+        assert profile.counts.tobytes() == counts.tobytes()
+        assert tail_fields == (tail_items, tail_units)
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+        profile.validate()
+
+    @pytest.mark.parametrize("n,m,max_k", [(10_000, 10_000, 5), (5, 200, 2), (7, 0, 3),
+                                           (1, 50, 40), (30, 40, 0)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_allocation(self, n, m, max_k, seed):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        prof = sim.sample_allocation(n, m, rng, max_k=max_k)
+        occ = np.bincount(ref_rng.integers(0, n, size=m), minlength=n)
+        self.check(prof, (prof.tail_boxes, prof.tail_balls), rng,
+                   _reference_bucket(occ, m, max_k), ref_rng)
+
+    # TestDegreePath covers max_k = 3 on most sizes; these are the edge cases.
+    @pytest.mark.parametrize("n,m,max_k", [(200, 300, 0), (30, 100, 2), (4, 0, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_gnm(self, n, m, max_k, seed):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        dc = sim.sample_gnm(n, m, rng, max_k=max_k)
+        idx, _ = _reference_edge_indices(n, m, ref_rng)
+        self.check(dc, (dc.tail_vertices, dc.tail_degree_sum), rng,
+                   _reference_degree_counts(n, m, idx, max_k), ref_rng)
+
+    @pytest.mark.parametrize("n,p,max_k", [(50, 1e-4, 3), (1, 0.5, 2), (30, 0.2, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_gnp(self, n, p, max_k, seed):
+        rng, ref_rng = rng_for(seed), rng_for(seed)
+        dc = sim.sample_gnp(n, p, rng, max_k=max_k)
+        c = n * (n - 1) // 2
+        m = int(ref_rng.binomial(c, p)) if c > 0 else 0
+        assert dc.m == m
+        idx, _ = _reference_edge_indices(n, m, ref_rng)
+        self.check(dc, (dc.tail_vertices, dc.tail_degree_sum), rng,
+                   _reference_degree_counts(n, m, idx, max_k), ref_rng)
+
+
 class TestTransientMemory:
     def test_gnm_peak_stays_near_the_edge_draw(self):
         # The rejection pass draws 2m + 16 int64 indices (C(n,2) > 2**32); the
@@ -389,47 +471,6 @@ class TestValidate:
     def test_spacings_sum(self):
         with pytest.raises(ValueError, match="sum"):
             sim.SpacingsSample(n=2, s=np.array([0.5, 0.6])).validate()
-
-
-class TestDegreeCountsFromEdges:
-    def test_triangle(self):
-        dc = sim.degree_counts_from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        assert dc.counts[2] == 3
-
-    def test_single_edge(self):
-        dc = sim.degree_counts_from_edges(4, [(0, 1)])
-        assert dc.counts[0] == 2 and dc.counts[1] == 2
-
-    def test_self_loop(self):
-        with pytest.raises(SelfLoop):
-            sim.degree_counts_from_edges(3, [(1, 1)])
-
-    def test_duplicate_edge(self):
-        with pytest.raises(DuplicateEdge):
-            sim.degree_counts_from_edges(3, [(0, 1), (1, 0)])
-
-    def test_recount_oracle(self):
-        rng = rng_for(13)
-        n = 30
-        idx = rng.permutation(n * (n - 1) // 2)[:60]
-        i, j = sim._decode_pairs(n, np.sort(idx))
-        edges = list(zip(i.tolist(), j.tolist()))
-        dc = sim.degree_counts_from_edges(n, edges)
-        deg = np.zeros(n, dtype=int)
-        for u, v in edges:
-            deg[u] += 1
-            deg[v] += 1
-        recount = np.bincount(deg, minlength=len(dc.counts))
-        assert np.array_equal(dc.counts, recount[: len(dc.counts)])
-
-    def test_relabeling_invariance(self):
-        rng = rng_for(19)
-        edges = [(0, 1), (1, 2), (2, 3), (0, 4)]
-        perm = rng.permutation(5)
-        relabeled = [(int(perm[u]), int(perm[v])) for u, v in edges]
-        a = sim.degree_counts_from_edges(5, edges)
-        b = sim.degree_counts_from_edges(5, relabeled)
-        assert np.array_equal(a.counts, b.counts)
 
 
 class TestSpacings:
