@@ -171,6 +171,9 @@ def check_args(args) -> None:
             raise ValueError("the limit laws need lambda_n > 0 (m > 0 or p > 0)")
         if args.reps < mc_engine.MIN_REPS:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
+        for name, gate in (("z_gate", args.z_gate), ("ks_gate", args.ks_gate)):
+            if not 0.0 < gate < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {gate}")
         cpus = os.cpu_count() or 1
         if not 1 <= args.workers <= cpus:
             raise ValueError(f"workers must be in [1, {cpus}], got {args.workers}")
@@ -191,90 +194,74 @@ def check_args(args) -> None:
 
 
 def _run_sampling_experiment(args, params: dict) -> mc_engine.VerificationReport:
-    model = args.experiment
-    run = mc_engine.run_experiment(model, params, args.reps, args.seed,
+    run = mc_engine.run_experiment(args.experiment, params, args.reps, args.seed,
                                    workers=args.workers, dump_path=args.dump)
-    theory_mean, theory_cov = _theory_for(model, args)
-    report = mc_engine.compare_to_theory(run, theory_mean, theory_cov,
-                                         z_gate=args.z_gate)
-    report.ks_gate = args.ks_gate
-    if run.reps < mc_engine.KS_MIN_REPS:
-        report.skipped.append({"gate": "ks",
-                               "reason": f"R = {run.reps} < {mc_engine.KS_MIN_REPS}"})
-    else:
-        for i in range(run.samples.shape[1]):
-            sigma2 = theory_cov[i, i]
-            if sigma2 <= 0:
-                report.skipped.append({"gate": "ks", "index": i,
-                                       "reason": f"theory variance {sigma2:.3g} <= 0"})
-                continue
-            dist = mc_engine.normality_distance(run.samples[:, i], 0.0, sigma2)
-            report.normality.append({"index": i, "distance": dist, "gate": args.ks_gate})
-        if any(e["distance"] > args.ks_gate for e in report.normality):
-            report.passed = False
-    return report
+    theory_mean, theory_cov = _theory_for(args.experiment, args)
+    return mc_engine.verify(run, theory_mean, theory_cov, z_gate=args.z_gate,
+                            ks_gate=args.ks_gate)
 
 
-def _run_transfer(args) -> mc_engine.VerificationReport:
-    start = time.perf_counter()
+def _transfer_checks(args) -> list[tuple]:
     conditioned = limit_theory.gnm_cov_via_conditioning(args.lam, args.K)
     target = limit_theory.theory_cov_matrix(limit_theory.GNM, args.lam, args.K).matrix
     max_dev = float(np.abs(conditioned - target).max())
-    report = mc_engine.VerificationReport(
-        experiment="transfer", params={"lam": args.lam, "K": args.K},
-        seed=args.seed, z_gate=0.0, ks_gate=0.0,
-    )
-    report.entries.append(mc_engine.ComparisonEntry(
-        "cov", -1, -1, 0.0, max_dev, 1e-10, max_dev / 1e-10))
-    report.passed = max_dev < 1e-10
-    report.wall_time = time.perf_counter() - start
-    return report
+    return [("max |conditioned - G(n,m) cov| < bound", max_dev, 1e-10, max_dev < 1e-10)]
 
 
-def _run_monotone(args) -> mc_engine.VerificationReport:
-    start = time.perf_counter()
-    report = mc_engine.VerificationReport(
-        experiment="monotone", params={"n": args.n, "max_m": args.max_m},
-        seed=args.seed, z_gate=0.0, ks_gate=0.0,
-    )
-    ok = True
+def _monotone_checks(args) -> list[tuple]:
+    """Empty boxes after m throws are stochastically at most those after m - 1,
+    for every n and m; the value is the first point where the CDFs cross the
+    wrong way (None when dominance holds)."""
+    checks = []
     for n in range(2, args.n + 1):
-        prev = None
-        for m in range(args.max_m + 1):
+        prev = monotone.exact_empty_box_law(n, 0)
+        for m in range(1, args.max_m + 1):
             law = monotone.exact_empty_box_law(n, m)
-            if prev is not None:
-                holds, _ = monotone.check_stochastic_dominance(law, prev)
-                coupled = bool(monotone.quantile_coupling(law, prev))
-                ok = ok and holds and coupled
-                report.entries.append(mc_engine.ComparisonEntry(
-                    "mean", n, m, 1.0, 1.0 if (holds and coupled) else 0.0, 0.0,
-                    0.0 if (holds and coupled) else math.inf))
+            holds, witness = monotone.check_stochastic_dominance(law, prev)
+            checks.append((f"empty boxes n={n}: m={m} <=st m={m - 1}", witness, None,
+                           holds and bool(monotone.quantile_coupling(law, prev))))
             prev = law
-    report.passed = ok
-    report.wall_time = time.perf_counter() - start
-    return report
+    return checks
 
 
-def _run_cwold(args) -> mc_engine.VerificationReport:
-    start = time.perf_counter()
+def _cwold_checks(args) -> list[tuple]:
     cf_x, cf_y = cwold.canonical_pair()
     octant_max, _ = cwold.octant_equality_scan(cf_x, cf_y, h=args.grid, extent=args.T)
     point_diff = abs(cwold.eval_cf(cf_x, (-0.6, 0.6)) - cwold.eval_cf(cf_y, (-0.6, 0.6)))
+    point_err = abs(float(point_diff) - 0.2)
     _, witness_diff = cwold.counterexample_witness(cf_x, cf_y, h=args.grid, extent=args.T)
-    report = mc_engine.VerificationReport(
-        experiment="cwold", params={"grid": args.grid, "T": args.T},
-        seed=args.seed, z_gate=0.0, ks_gate=0.0,
-    )
-    report.entries.append(mc_engine.ComparisonEntry(
-        "cov", 0, 0, 0.0, octant_max, 1e-12, octant_max / 1e-12))
-    report.entries.append(mc_engine.ComparisonEntry(
-        "cov", 0, 1, 0.2, float(point_diff), 1e-12, (float(point_diff) - 0.2) / 1e-12))
-    report.entries.append(mc_engine.ComparisonEntry(
-        "cov", 1, 1, witness_diff, witness_diff, 0.0, 0.0))
-    report.passed = (octant_max < 1e-12 and abs(point_diff - 0.2) < 1e-12
-                     and witness_diff >= 0.19)
-    report.wall_time = time.perf_counter() - start
-    return report
+    return [("octant max |phi_X - phi_Y| < bound", octant_max, 1e-12, octant_max < 1e-12),
+            ("| |phi_X - phi_Y|(-0.6, 0.6) - 0.2 | < bound", point_err, 1e-12,
+             point_err < 1e-12),
+            ("off-octant max |phi_X - phi_Y| >= bound", witness_diff, 0.19,
+             witness_diff >= 0.19)]
+
+
+def _run_analytic(args, params: dict, checks_for) -> mc_engine.VerificationReport:
+    """Time checks_for(args), whose (name, value, bound, passed) tuples become
+    the report's check records; the report passes when every check does."""
+    start = time.perf_counter()
+    checks = [{"name": name, "value": value, "bound": bound, "passed": bool(passed)}
+              for name, value, bound, passed in checks_for(args)]
+    return mc_engine.VerificationReport(
+        experiment=args.experiment, params=params, seed=args.seed, z_gate=0.0,
+        ks_gate=0.0, checks=checks, passed=all(c["passed"] for c in checks),
+        wall_time=time.perf_counter() - start)
+
+
+def _summary(report: mc_engine.VerificationReport) -> str:
+    """What decided the verdict: the check tally and first failing check of an
+    analytic run, or max |z| and the largest KS distance (or why KS was
+    skipped) of a sampling run."""
+    if report.checks:
+        failed = [c["name"] for c in report.checks if not c["passed"]]
+        first = f", first failure: {failed[0]}" if failed else ""
+        return (f"{len(report.checks) - len(failed)}/{len(report.checks)} "
+                f"checks passed{first}")
+    ks = max(report.normality, key=lambda e: e["distance"], default=None)
+    ks_text = (f"max KS = {ks['distance']:.4f} (index {ks['index']})" if ks else
+               f"KS skipped: {report.skipped[0]['reason']}")
+    return f"max |z| = {report.max_abs_z():.3f}, {ks_text}"
 
 
 def emit_report(report: mc_engine.VerificationReport, out_path=None, table_path=None):
@@ -321,11 +308,12 @@ def main(argv=None) -> int:
         if args.experiment in mc_engine.EXPERIMENT_MODELS:
             report = _run_sampling_experiment(args, _sampling_params(args))
         elif args.experiment == "transfer":
-            report = _run_transfer(args)
+            report = _run_analytic(args, {"lam": args.lam, "K": args.K}, _transfer_checks)
         elif args.experiment == "monotone":
-            report = _run_monotone(args)
+            report = _run_analytic(args, {"n": args.n, "max_m": args.max_m},
+                                   _monotone_checks)
         else:
-            report = _run_cwold(args)
+            report = _run_analytic(args, {"grid": args.grid, "T": args.T}, _cwold_checks)
         report.provenance = {"condclt": __version__, "numpy": np.__version__,
                              "python": sys.version.split()[0], "seed": args.seed,
                              "workers": getattr(args, "workers", 1), "argv": argv}
@@ -335,7 +323,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC_ERROR
 
     status = "PASS" if report.passed else "FAIL"
-    print(f"{args.experiment}: {status} (max |z| = {report.max_abs_z():.3f}, "
+    print(f"{args.experiment}: {status} ({_summary(report)}, "
           f"wall = {report.wall_time:.2f}s, seed = {report.seed})")
     return EXIT_OK if report.passed else EXIT_GATE_FAILURE
 

@@ -154,14 +154,3 @@ def marginal_difference_along(cf_x: CharFnExpr, cf_y: CharFnExpr, direction,
     s = np.arange(-s_max, s_max + h / 2, h)
     diff = np.abs(eval_cf(cf_x, (s * c1, s * c2)) - eval_cf(cf_y, (s * c1, s * c2)))
     return float(diff.max())
-
-
-def scan_table(cf_x: CharFnExpr, cf_y: CharFnExpr,
-               h: float = DEFAULT_GRID_STEP, extent: float = DEFAULT_GRID_EXTENT):
-    """Flat (t1, t2, phi_x, phi_y, diff) rows over [-T, T]^2 for plotting."""
-    ts = np.arange(-extent, extent + h / 2, h)
-    t1, t2 = np.meshgrid(ts, ts, indexing="ij")
-    fx = eval_cf(cf_x, (t1, t2))
-    fy = eval_cf(cf_y, (t1, t2))
-    return np.column_stack([t1.ravel(), t2.ravel(), fx.ravel(), fy.ravel(),
-                            np.abs(fx - fy).ravel()])

@@ -429,6 +429,7 @@ class VerificationReport:
     entries: list[ComparisonEntry] = field(default_factory=list)
     normality: list[dict] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)   # gates not run, with why
+    checks: list[dict] = field(default_factory=list)    # analytic name/value/bound/passed
     passed: bool = False
     wall_time: float = 0.0
     timings: dict = field(default_factory=dict)         # ExperimentRun.timings
@@ -438,31 +439,13 @@ class VerificationReport:
         return max((abs(e.z) for e in self.entries), default=0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "seed": self.seed,
-            "z_gate": self.z_gate,
-            "ks_gate": self.ks_gate,
-            "entries": [vars(e) for e in self.entries],
-            "normality": self.normality,
-            "skipped": self.skipped,
-            "passed": self.passed,
-            "wall_time": self.wall_time,
-            "timings": self.timings,
-            "provenance": self.provenance,
-        }
+        return {**vars(self), "entries": [vars(e) for e in self.entries]}
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
-        return VerificationReport(
-            experiment=d["experiment"], params=d["params"], seed=d["seed"],
-            z_gate=d["z_gate"], ks_gate=d["ks_gate"],
-            entries=[ComparisonEntry(**e) for e in d["entries"]],
-            normality=list(d["normality"]), skipped=list(d["skipped"]),
-            passed=d["passed"], wall_time=d["wall_time"],
-            timings=dict(d.get("timings", {})), provenance=dict(d.get("provenance", {})),
-        )
+        """Inverse of to_dict; a key the report lacks takes its default."""
+        return VerificationReport(**{**d, "entries": [ComparisonEntry(**e)
+                                                      for e in d["entries"]]})
 
 
 def _mean_entries(run: ExperimentRun, theory_mean: np.ndarray) -> list[ComparisonEntry]:
@@ -478,8 +461,7 @@ def _mean_entries(run: ExperimentRun, theory_mean: np.ndarray) -> list[Compariso
     return out
 
 
-def _cov_entries(run: ExperimentRun, theory_cov: np.ndarray,
-                 diag_only: bool = False) -> list[ComparisonEntry]:
+def _cov_entries(run: ExperimentRun, theory_cov: np.ndarray) -> list[ComparisonEntry]:
     """Covariance z-scores with batch-means standard errors."""
     est = run.acc.covariance()
     batch_covs = np.array([b.covariance() for b in run.batch_accs])
@@ -488,8 +470,6 @@ def _cov_entries(run: ExperimentRun, theory_cov: np.ndarray,
     out = []
     for i in range(run.acc.dim):
         for j in range(i, run.acc.dim):
-            if diag_only and i != j:
-                continue
             se = float(se_mat[i, j])
             diff = est[i, j] - theory_cov[i, j]
             z = diff / se if se > 0 else (0.0 if diff == 0.0 else math.inf)
@@ -542,17 +522,30 @@ def normality_distance(samples, mu: float, sigma2: float) -> float:
     return float(max(upper.max(), lower.max()))
 
 
-def moment_convergence_check(run: ExperimentRun, theory_mean, theory_cov,
-                             z_gate: float = DEFAULT_Z_GATE) -> dict:
-    """First- and second-moment convergence section: standardized means against
-    the conditional mean and the variance diagonal against the conditional
-    variances, both at 4-SE scale."""
+def verify(run: ExperimentRun, theory_mean, theory_cov, z_gate: float = DEFAULT_Z_GATE,
+           ks_gate: float = DEFAULT_KS_GATE) -> VerificationReport:
+    """Gate a run's z-scores (compare_to_theory) and, from KS_MIN_REPS
+    replicates on, the KS distance of each marginal from its limit Gaussian.
+
+    A marginal whose theory variance is not positive, or every marginal below
+    KS_MIN_REPS replicates, is listed under ``skipped`` with the reason.  The
+    report passes only when the z gates and every KS gate that ran pass.
+    """
     theory_mean = np.asarray(theory_mean, dtype=float)
     theory_cov = np.asarray(theory_cov, dtype=float)
-    entries = _mean_entries(run, theory_mean) + _cov_entries(run, theory_cov, diag_only=True)
-    max_z = max(abs(e.z) for e in entries)
-    return {
-        "entries": entries,
-        "max_abs_z": max_z,
-        "passed": max_z <= z_gate,
-    }
+    report = compare_to_theory(run, theory_mean, theory_cov, z_gate=z_gate)
+    report.ks_gate = ks_gate
+    if run.reps < KS_MIN_REPS:
+        report.skipped.append({"gate": "ks", "reason": f"R = {run.reps} < {KS_MIN_REPS}"})
+    else:
+        for i in range(run.samples.shape[1]):
+            sigma2 = theory_cov[i, i]
+            if sigma2 <= 0:
+                report.skipped.append({"gate": "ks", "index": i,
+                                       "reason": f"theory variance {sigma2:.3g} <= 0"})
+                continue
+            dist = normality_distance(run.samples[:, i], theory_mean[i], sigma2)
+            report.normality.append({"index": i, "distance": dist, "gate": ks_gate})
+        if any(e["distance"] > ks_gate for e in report.normality):
+            report.passed = False
+    return report

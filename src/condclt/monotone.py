@@ -2,9 +2,7 @@
 
 Exact laws (big-integer counting, normalized at the end) for the empty-box
 count and for desk-scale allocation/graph count statistics, a first-order
-stochastic dominance checker, the inverse-CDF (quantile) coupling, and the
-cumulative-sum transform that turns non-monotone count vectors into
-coordinatewise monotone ones.
+stochastic dominance checker and the inverse-CDF (quantile) coupling.
 """
 
 from __future__ import annotations
@@ -119,11 +117,6 @@ def quantile_coupling(d1: FiniteDistribution, d2: FiniteDistribution):
             j += 1
             r2 = d2.probs[j] if j < len(d2.probs) else 0.0
     return atoms
-
-
-def cumulative_transform(z) -> np.ndarray:
-    """Partial sums (z0, z0+z1, ...); invertible by first differences."""
-    return np.cumsum(np.asarray(z), axis=-1)
 
 
 # -- desk-scale exhaustive enumeration oracles ---------------------------------

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import condclt
-from condclt import cli, mc_engine, simulators
+from condclt import cli, limit_theory, mc_engine, monotone, simulators
 
 
 def run_cli(*argv):
@@ -25,7 +26,20 @@ class TestAnalyticSubcommands:
 
     def test_monotone_passes(self, capsys):
         assert run_cli("monotone", "--n", "5", "--max-m", "8") == cli.EXIT_OK
-        assert "monotone: PASS" in capsys.readouterr().out
+        assert "monotone: PASS (32/32 checks passed, wall = " in capsys.readouterr().out
+
+    def test_failing_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(monotone, "check_stochastic_dominance",
+                            lambda d1, d2: (False, 0.0))
+        out = tmp_path / "report.json"
+        code = run_cli("monotone", "--n", "2", "--max-m", "1", "--out", str(out))
+        assert code == cli.EXIT_GATE_FAILURE
+        assert ("monotone: FAIL (0/1 checks passed, first failure: "
+                "empty boxes n=2: m=1 <=st m=0, wall = ") in capsys.readouterr().out
+        report = cli.parse_report(str(out))
+        assert report.checks == [{"name": "empty boxes n=2: m=1 <=st m=0", "value": 0.0,
+                                  "bound": None, "passed": False}]
+        assert report.entries == [] and not report.passed
 
     def test_cwold_passes(self, capsys):
         assert run_cli("cwold") == cli.EXIT_OK
@@ -40,7 +54,7 @@ class TestSamplingSubcommands:
                        "--reps", "600", "--seed", "3",
                        "--out", str(out), "--table", str(table))
         assert code == cli.EXIT_OK
-        assert "gnm: PASS" in capsys.readouterr().out
+        assert ", KS skipped: R = 600 < 1000, wall = " in capsys.readouterr().out
 
         report = cli.parse_report(str(out))
         assert report.experiment == "gnm"
@@ -78,6 +92,35 @@ class TestSamplingSubcommands:
                        "--reps", "500", "--z-gate", "1e-9")
         assert code == cli.EXIT_GATE_FAILURE
         assert "alloc: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,verdict", [
+        (("spacings", "--n", "2000"), "PASS"),
+        # every z gate passes; the k = 0 marginal fails the KS gate
+        (("alloc", "--n", "1000", "--m", "1000", "--max-k", "3"), "FAIL"),
+    ])
+    def test_summary_names_the_ks_gate(self, argv, verdict, capsys):
+        code = run_cli(*argv, "--reps", "1000")
+        assert code == (cli.EXIT_OK if verdict == "PASS" else cli.EXIT_GATE_FAILURE)
+        line = capsys.readouterr().out
+        found = re.match(rf"{argv[0]}: {verdict} \(max \|z\| = (\S+), "
+                         r"max KS = (\S+) \(index \d\), wall = ", line)
+        assert found, line
+        assert float(found[1]) <= mc_engine.DEFAULT_Z_GATE
+        assert (float(found[2]) <= mc_engine.DEFAULT_KS_GATE) == (verdict == "PASS")
+
+    def test_report_is_verify_of_the_run(self, tmp_path):
+        out = tmp_path / "report.json"
+        params = {"n": 2000, "m": 2000, "max_k": 4}
+        run_cli("alloc", "--n", "2000", "--m", "2000", "--max-k", "4", "--reps", "1000",
+                "--out", str(out))
+        with open(out) as fh:
+            doc = json.load(fh)
+        theory = limit_theory.theory_cov_matrix(limit_theory.ALLOC, 1.0, 4).matrix
+        run = mc_engine.run_experiment("alloc", params, reps=1000, seed=0)
+        expected = mc_engine.verify(run, np.zeros(5), theory).to_dict()
+        for key in ("entries", "normality", "skipped", "passed"):
+            assert doc[key] == expected[key]
+        assert doc["checks"] == []
 
     def test_skipped_ks_gate_is_recorded(self, tmp_path):
         out = tmp_path / "report.json"
@@ -264,8 +307,13 @@ class TestArgumentErrors:
         (("monotone", "--max-m", "0"), "max_m must be in [1, 12]"),
         (("alloc", "--n", "100", "--m", "100", "--reps", "1"), "reps must be >= 100"),
         (("alloc", "--n", "100", "--m", "100", "--reps", "50"), "reps must be >= 100"),
+        *[(("alloc", "--n", "100", "--m", "100", flag, value),
+           f"{flag[2:].replace('-', '_')} must be positive and finite")
+          for flag in ("--z-gate", "--ks-gate") for value in ("nan", "inf", "0", "-1")],
     ], ids=["grid-zero", "T-negative", "lam-zero", "K-below-truncation", "monotone-n-nine",
-            "monotone-n-one", "max-m-zero", "reps-one", "reps-fifty"])
+            "monotone-n-one", "max-m-zero", "reps-one", "reps-fifty",
+            *[f"{gate}-{value}" for gate in ("z-gate", "ks-gate")
+              for value in ("nan", "inf", "zero", "negative")]])
     def test_bad_argument_is_config_error(self, argv, message, capsys):
         code = run_cli(*argv)
         assert code == cli.EXIT_CONFIG_ERROR

@@ -170,13 +170,6 @@ class TestLatticeMass:
 
 
 class TestScanTable:
-    def test_shape_and_columns(self):
-        x, y = cwold.canonical_pair()
-        table = cwold.scan_table(x, y, h=0.5, extent=2.0)
-        ts = np.arange(-2.0, 2.25, 0.5)
-        assert table.shape == (len(ts) ** 2, 5)
-        assert np.allclose(table[:, 4], np.abs(table[:, 2] - table[:, 3]))
-
     def test_grid_validation(self):
         x, y = cwold.canonical_pair()
         with pytest.raises(ValueError):

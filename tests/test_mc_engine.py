@@ -320,12 +320,17 @@ class TestCompareToTheory:
                                 reps=500, seed=0)
         report = mc.compare_to_theory(run, run.acc.mean, run.acc.covariance())
         report.skipped.append({"gate": "ks", "reason": "R = 500 < 1000"})
+        report.checks.append({"name": "c", "value": None, "bound": None, "passed": True})
         back = mc.VerificationReport.from_dict(report.to_dict())
         assert back.skipped == report.skipped
+        assert back.checks == report.checks
         assert back.experiment == report.experiment
         assert back.passed == report.passed
         assert len(back.entries) == len(report.entries)
         assert back.entries[0].z == report.entries[0].z
+        older = report.to_dict()        # written before reports carried checks
+        del older["checks"]
+        assert mc.VerificationReport.from_dict(older).checks == []
 
 
 def _ndtr_normality_distance(samples, mu, sigma2):
@@ -390,17 +395,38 @@ class TestGateSoundness:
             passes += int(report.passed)
         assert passes >= 9
 
-    def test_moment_convergence_check(self):
-        p = {"n": 4, "m": 3, "max_k": 3}
-        run = mc.run_experiment("alloc", p, reps=8000, seed=2)
-        counts = monotone.enumerate_allocation_counts(4, 3)
-        mean, cov = monotone.exact_moments(counts)
-        spec = mc.standardization_for("alloc", p)
-        out = mc.moment_convergence_check(run, (mean - spec.b_n) / spec.a_n, cov / 4.0)
-        assert out["passed"]
-        kinds = {e.kind for e in out["entries"]}
-        assert kinds == {"mean", "cov"}
-        assert all(e.i == e.j for e in out["entries"] if e.kind == "cov")
+
+class TestVerify:
+    P = {"n": 4, "m": 3, "max_k": 3}
+
+    def test_ks_failure_alone_fails_the_run(self):
+        # theory = the sample moments, so every z is 0; four boxes put each
+        # standardized count on a lattice far from any Gaussian
+        run = mc.run_experiment("alloc", self.P, reps=mc.KS_MIN_REPS, seed=0)
+        theory = (run.acc.mean, run.acc.covariance())
+        assert mc.compare_to_theory(run, *theory).passed
+        report = mc.verify(run, *theory)
+        assert [e["index"] for e in report.normality] == [0, 1, 2, 3]
+        assert max(e["distance"] for e in report.normality) > report.ks_gate
+        assert not report.passed
+        assert mc.verify(run, *theory, ks_gate=1.0).passed
+
+    def test_zero_variance_marginal_is_skipped(self):
+        run = mc.run_experiment("alloc", {**self.P, "max_k": 4}, reps=mc.KS_MIN_REPS, seed=0)
+        cov = run.acc.covariance()
+        cov[4, :] = cov[:, 4] = 0.0
+        report = mc.verify(run, run.acc.mean, cov)
+        assert report.skipped == [{"gate": "ks", "index": 4,
+                                   "reason": "theory variance 0 <= 0"}]
+        assert [e["index"] for e in report.normality] == [0, 1, 2, 3]
+
+    def test_few_replicates_skip_the_ks_gate(self):
+        reps = mc.KS_MIN_REPS - 1
+        run = mc.run_experiment("alloc", self.P, reps=reps, seed=0)
+        report = mc.verify(run, run.acc.mean, run.acc.covariance(), ks_gate=1e-9)
+        assert report.skipped == [{"gate": "ks",
+                                   "reason": f"R = {reps} < {mc.KS_MIN_REPS}"}]
+        assert report.normality == [] and report.passed
 
 
 def _reference_samples(model, params, reps, seed):

@@ -6,8 +6,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from condclt import monotone as mono
 from condclt.errors import NotComparable, OutOfDeskRange
@@ -136,21 +134,6 @@ class TestQuantileCoupling:
     def test_not_comparable(self):
         with pytest.raises(NotComparable):
             mono.quantile_coupling(point_mass(1), point_mass(0))
-
-
-class TestCumulativeTransform:
-    def test_example(self):
-        assert mono.cumulative_transform([1, 2, 3]).tolist() == [1, 3, 6]
-
-    def test_zeros(self):
-        assert mono.cumulative_transform([0.0, 0.0]).tolist() == [0.0, 0.0]
-
-    @given(st.lists(st.integers(-100, 100), min_size=1, max_size=12))
-    @settings(max_examples=100, deadline=None)
-    def test_difference_inverts(self, z):
-        out = mono.cumulative_transform(z)
-        back = np.diff(out, prepend=0)
-        assert back.tolist() == z
 
 
 class TestMonotoneStatisticChains:
