@@ -27,6 +27,7 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
 TABLE_HEADER = ["experiment", "entry_i", "entry_j", "theory", "estimate", "stderr", "z"]
+CHECK_TABLE_HEADER = ["experiment", "name", "value", "bound", "passed"]
 
 
 class ConfigError(Exception):
@@ -174,6 +175,9 @@ def check_args(args) -> None:
         for name, gate in (("z_gate", args.z_gate), ("ks_gate", args.ks_gate)):
             if not 0.0 < gate < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {gate}")
+        if not args.ks_gate < 1.0:
+            raise ValueError(f"ks_gate must be below 1 (a KS distance is at most 1), "
+                             f"got {args.ks_gate}")
         cpus = os.cpu_count() or 1
         if not 1 <= args.workers <= cpus:
             raise ValueError(f"workers must be in [1, {cpus}], got {args.workers}")
@@ -265,7 +269,9 @@ def _summary(report: mc_engine.VerificationReport) -> str:
 
 
 def emit_report(report: mc_engine.VerificationReport, out_path=None, table_path=None):
-    """Write the structured (JSON) report and the flat CSV comparison table."""
+    """Write the structured (JSON) report and the flat CSV table: one row per
+    check record when the report carries checks (an empty cell for a None
+    value or bound), else one row per comparison entry."""
     if out_path:
         with open(out_path, "w") as fh:
             json.dump(report.to_dict(), fh, indent=2)
@@ -273,11 +279,17 @@ def emit_report(report: mc_engine.VerificationReport, out_path=None, table_path=
     if table_path:
         with open(table_path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(TABLE_HEADER)
-            for e in report.entries:
-                writer.writerow([report.experiment, e.i, e.j,
-                                 repr(e.theory), repr(e.estimate),
-                                 repr(e.stderr), repr(e.z)])
+            if report.checks:
+                writer.writerow(CHECK_TABLE_HEADER)
+                for c in report.checks:
+                    writer.writerow([report.experiment, c["name"], c["value"], c["bound"],
+                                     c["passed"]])
+            else:
+                writer.writerow(TABLE_HEADER)
+                for e in report.entries:
+                    writer.writerow([report.experiment, e.i, e.j,
+                                     repr(e.theory), repr(e.estimate),
+                                     repr(e.stderr), repr(e.z)])
 
 
 def parse_report(path: str) -> mc_engine.VerificationReport:

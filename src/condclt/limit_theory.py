@@ -8,6 +8,7 @@ the edge-statistic moments used for the analytic G(n,p) -> G(n,m) transfer.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -19,6 +20,10 @@ from .errors import InvalidA, InvalidCovariance, InvalidLambda, TruncationError
 
 TAIL_MASS_GATE = 1e-12
 
+_FACTORIALS = tuple(float(math.factorial(k)) for k in range(171))   # 171! overflows
+_DIRECT_MAX_LAM = 708.0     # exp(-lam) is a normal float below lam = 708.39
+_LOG_UNDERFLOW = -746.0     # e^-746 is below half the smallest subnormal float
+
 ALLOC = "ALLOC"
 GNP = "GNP"
 GNM = "GNM"
@@ -26,31 +31,63 @@ MODELS = (ALLOC, GNP, GNM)
 
 
 def poisson_pmf(lam: float, k: int) -> float:
-    """P(Po(lam) = k), computed in log space for large k to avoid overflow."""
+    """P(Po(lam) = k), to within a few units in the last place.
+
+    Up to k = 170, while lam**k is finite and exp(-lam) is a normal float, it
+    is the direct product lam**k * exp(-lam) / k!; past that range the same
+    product is taken in decimal arithmetic and rounded once.
+    """
     if lam <= 0.0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
-    if k < 0 or k != int(k):
+    if type(lam) is not float or type(k) is not int:   # numpy scalars, a whole float k
+        if k < 0 or k != int(k):
+            raise InvalidLambda(f"k must be a non-negative integer, got {k}")
+        return poisson_pmf(float(lam), int(k))
+    if k < 0:
         raise InvalidLambda(f"k must be a non-negative integer, got {k}")
-    k = int(k)
-    if k <= 30:
-        return lam**k * math.exp(-lam) / math.factorial(k)
-    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+    if k <= 170 and lam < _DIRECT_MAX_LAM:
+        try:
+            return lam**k * math.exp(-lam) / _FACTORIALS[k]
+        except OverflowError:                   # lam**k is beyond the float range
+            pass
+    return _decimal_pmf(lam, k)
+
+
+def _decimal_pmf(lam: float, k: int) -> float:
+    """exp(-lam) lam^k / k! in 30-digit decimal arithmetic, whose exponent
+    range has no overflow or underflow, rounded once to a float."""
+    if not lam < math.inf:
+        raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
+    if k * math.log(lam) - lam - math.lgamma(k + 1) < _LOG_UNDERFLOW:
+        return 0.0
+    with decimal.localcontext(prec=30):
+        d = decimal.Decimal(lam)
+        return float((-d).exp() * d**k / math.factorial(k))
 
 
 def poisson_tail_mass(lam: float, k: int) -> float:
     """P(Po(lam) > k).
 
-    Past the mode the tail is summed upward from pmf(k + 1) with the term
-    ratio lam/j, so it keeps its relative accuracy where 1 - sum(pmf) would
-    cancel; up to the mode the tail is not small and 1 - sum(pmf) is exact
-    enough.
+    The mass on the far side of k from the mode is summed away from k,
+    starting at one pmf value and stepping with the term ratio, so the upper
+    tail keeps its relative accuracy where 1 - sum(pmf) would cancel; up to
+    the mode the tail is not small and 1 - P(Po(lam) <= k) is exact enough.
     """
     if lam <= 0.0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
     if k < 0:
         return 1.0
     if k + 1 <= lam:
-        return 1.0 - math.fsum(poisson_pmf(lam, j) for j in range(k + 1))
+        # every earlier ratio is at most j/lam < 1, so the rest is below the
+        # geometric bound term * j / (lam - j)
+        term = poisson_pmf(lam, k)
+        terms = [term]
+        j = k
+        while j > 0 and term * j / (lam - j) > 2.0**-60 * terms[0]:
+            term *= j / lam
+            terms.append(term)
+            j -= 1
+        return 1.0 - math.fsum(terms)
     term = poisson_pmf(lam, k + 1)
     terms = [term]
     j = k + 2

@@ -1,8 +1,10 @@
 """Exact small-instance verification of stochastic monotonicity.
 
-Exact laws (big-integer counting, normalized at the end) for the empty-box
-count and for desk-scale allocation/graph count statistics, a first-order
-stochastic dominance checker and the inverse-CDF (quantile) coupling.
+Exact laws (big-integer counting) for the empty-box count and for desk-scale
+allocation/graph count statistics, a first-order stochastic dominance
+checker and the inverse-CDF (quantile) coupling.  Every law carries its
+masses as integers over their sum, so dominance and the coupling are decided
+in integer arithmetic, with no tolerance.
 """
 
 from __future__ import annotations
@@ -16,17 +18,23 @@ import numpy as np
 
 from .errors import NotComparable, OutOfDeskRange
 
-CDF_TOL = 1e-12
+CDF_TOL = 1e-12             # how far float probs may sum from 1
 DESK_MAX_N = 8              # exact_empty_box_law's range: n <= 8, m <= 12
 DESK_MAX_M = 12
 
 
 @dataclass(frozen=True)
 class FiniteDistribution:
-    """Finitely supported distribution with strictly increasing support."""
+    """Finitely supported distribution with strictly increasing support.
+
+    ``weights`` are the exact masses, integers over their sum ``total``.
+    Without them they are the exact binary values of ``probs`` over a common
+    power of two; given, ``probs`` must be their correctly rounded ratios.
+    """
 
     support: np.ndarray
     probs: np.ndarray
+    weights: tuple[int, ...] | None = None
 
     def __post_init__(self):
         support = np.asarray(self.support, dtype=float)
@@ -39,20 +47,35 @@ class FiniteDistribution:
             raise ValueError("probs must be non-negative")
         if not abs(probs.sum() - 1.0) <= CDF_TOL:
             raise ValueError(f"probs sum to {probs.sum()!r}, not 1")
+        if self.weights is None:
+            ratios = [p.as_integer_ratio() for p in probs.tolist()]
+            scale = max(d for _, d in ratios)
+            weights = tuple(n * (scale // d) for n, d in ratios)
+        else:
+            weights = tuple(self.weights)
+            if not all(type(w) is int and w >= 0 for w in weights) or not any(weights):
+                raise ValueError("weights must be non-negative ints, not all 0")
+            total = sum(weights)
+            if probs.tolist() != [w / total for w in weights]:
+                raise ValueError("probs are not the float values of weights / sum(weights)")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "weights", weights)
 
-    def cdf_at(self, xs: np.ndarray) -> np.ndarray:
-        cum = np.concatenate(([0.0], np.cumsum(self.probs)))
-        return cum[np.searchsorted(self.support, xs, side="right")]
+    @property
+    def total(self) -> int:
+        return sum(self.weights)
 
 
-def from_weights(pairs: dict[float, Fraction]) -> FiniteDistribution:
-    """Normalize an exact value -> weight map into a FiniteDistribution."""
-    total = sum(pairs.values())
+def from_weights(pairs: dict[float, int | Fraction]) -> FiniteDistribution:
+    """The law of an exact value -> weight map (ints or Fractions, on any
+    common scale), with the weights as integers over their common denominator."""
     support = sorted(x for x, w in pairs.items() if w > 0)
-    probs = [float(pairs[x] / total) for x in support]
-    return FiniteDistribution(np.array(support, dtype=float), np.array(probs))
+    scale = math.lcm(*(pairs[x].denominator for x in support))
+    weights = [pairs[x].numerator * (scale // pairs[x].denominator) for x in support]
+    total = sum(weights)
+    return FiniteDistribution(np.array(support, dtype=float),
+                              np.array([w / total for w in weights]), tuple(weights))
 
 
 def surjection_count(m: int, b: int) -> int:
@@ -63,59 +86,62 @@ def surjection_count(m: int, b: int) -> int:
 
 
 def exact_empty_box_law(n: int, m: int) -> FiniteDistribution:
-    """Exact law of the number of empty boxes after m uniform throws into n boxes."""
+    """Exact law of the number of empty boxes after m uniform throws into n
+    boxes: C(n, z) surj(m, n - z) of the n^m throws leave z boxes empty."""
     if not (1 <= n <= DESK_MAX_N) or not (0 <= m <= DESK_MAX_M):
         raise OutOfDeskRange(f"(n={n}, m={m}) outside the exact-enumeration range")
-    weights = {}
-    for z in range(n + 1):
-        w = Fraction(math.comb(n, z) * surjection_count(m, n - z), n**m)
-        if w > 0:
-            weights[float(z)] = w
-    return from_weights(weights)
+    return from_weights({float(z): math.comb(n, z) * surjection_count(m, n - z)
+                         for z in range(n + 1)})
 
 
 def check_stochastic_dominance(d1: FiniteDistribution, d2: FiniteDistribution):
     """First-order check: does d2 dominate d1 (d1 stochastically smaller)?
 
-    True iff CDF1(x) >= CDF2(x) - tol at every union support point; on failure
-    the witnessing x is returned.
+    True iff CDF1(x) >= CDF2(x) at every union support point, compared
+    exactly as W1(x) * total2 >= W2(x) * total1 with W the integer weight at
+    or below x; on failure the first witnessing x is returned.
     """
-    xs = np.union1d(d1.support, d2.support)
-    c1 = d1.cdf_at(xs)
-    c2 = d2.cdf_at(xs)
-    bad = np.flatnonzero(c1 < c2 - CDF_TOL)
-    if len(bad):
-        return False, float(xs[bad[0]])
+    t1, t2 = d1.total, d2.total
+    w1 = dict(zip(d1.support.tolist(), d1.weights))
+    w2 = dict(zip(d2.support.tolist(), d2.weights))
+    c1 = c2 = 0
+    for x in sorted(w1.keys() | w2.keys()):
+        c1 += w1.get(x, 0)
+        c2 += w2.get(x, 0)
+        if c1 * t2 < c2 * t1:
+            return False, x
     return True, None
 
 
 def quantile_coupling(d1: FiniteDistribution, d2: FiniteDistribution):
     """Inverse-CDF coupling of d1 (smaller) and d2 (larger).
 
-    Returns atoms (x1, x2, prob) with x1 <= x2 on every atom; both marginals
-    reproduce the inputs exactly up to float accumulation.
+    Returns atoms (x1, x2, mass) with x1 <= x2 on every atom and exact
+    Fraction masses, whose marginals are exactly the two laws.
     """
     ok, witness = check_stochastic_dominance(d1, d2)
     if not ok:
         raise NotComparable(f"dominance fails at x = {witness}")
+    t1, t2 = d1.total, d2.total
+    # both laws on the common scale t1 * t2, so every mass is an integer
+    w1 = [w * t2 for w in d1.weights]
+    w2 = [w * t1 for w in d2.weights]
+    xs1, xs2 = d1.support.tolist(), d2.support.tolist()
     atoms = []
     i = j = 0
-    u = 0.0                     # probability mass already coupled
-    r1 = d1.probs[0]
-    r2 = d2.probs[0]
-    while i < len(d1.support) and j < len(d2.support):
+    r1, r2 = w1[0], w2[0]
+    while i < len(w1) and j < len(w2):
         p = min(r1, r2)
-        if p > CDF_TOL:
-            atoms.append((float(d1.support[i]), float(d2.support[j]), p))
-            u += p
+        if p:
+            atoms.append((xs1[i], xs2[j], Fraction(p, t1 * t2)))
         r1 -= p
         r2 -= p
-        if r1 <= CDF_TOL:
+        if not r1:
             i += 1
-            r1 = d1.probs[i] if i < len(d1.probs) else 0.0
-        if r2 <= CDF_TOL:
+            r1 = w1[i] if i < len(w1) else 0
+        if not r2:
             j += 1
-            r2 = d2.probs[j] if j < len(d2.probs) else 0.0
+            r2 = w2[j] if j < len(w2) else 0
     return atoms
 
 
@@ -202,7 +228,7 @@ def scalar_law(values: np.ndarray) -> FiniteDistribution:
     weights = {}
     for v in values:
         weights[float(v)] = weights.get(float(v), 0) + 1
-    return from_weights({v: Fraction(c, len(values)) for v, c in weights.items()})
+    return from_weights(weights)
 
 
 def exact_moments(count_matrix: np.ndarray):

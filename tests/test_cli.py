@@ -45,6 +45,21 @@ class TestAnalyticSubcommands:
         assert run_cli("cwold") == cli.EXIT_OK
         assert "cwold: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [("cwold",), ("monotone", "--n", "3", "--max-m", "4")],
+                             ids=["cwold", "monotone"])
+    def test_table_holds_one_row_per_check(self, argv, tmp_path):
+        out, table = tmp_path / "report.json", tmp_path / "table.csv"
+        assert run_cli(*argv, "--out", str(out), "--table", str(table)) == cli.EXIT_OK
+        checks = cli.parse_report(str(out)).checks
+        with open(table, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == cli.CHECK_TABLE_HEADER
+        assert len(checks) == len(rows) - 1 > 1
+        for row, check in zip(rows[1:], checks):
+            value = "" if check["value"] is None else repr(check["value"])
+            bound = "" if check["bound"] is None else repr(check["bound"])
+            assert row == [argv[0], check["name"], value, bound, "True"]
+
 
 class TestSamplingSubcommands:
     def test_gnm_small_run(self, tmp_path, capsys):
@@ -310,10 +325,13 @@ class TestArgumentErrors:
         *[(("alloc", "--n", "100", "--m", "100", flag, value),
            f"{flag[2:].replace('-', '_')} must be positive and finite")
           for flag in ("--z-gate", "--ks-gate") for value in ("nan", "inf", "0", "-1")],
+        *[(("alloc", "--n", "100", "--m", "100", "--ks-gate", value), "ks_gate must be below 1")
+          for value in ("1", "2")],
     ], ids=["grid-zero", "T-negative", "lam-zero", "K-below-truncation", "monotone-n-nine",
             "monotone-n-one", "max-m-zero", "reps-one", "reps-fifty",
             *[f"{gate}-{value}" for gate in ("z-gate", "ks-gate")
-              for value in ("nan", "inf", "zero", "negative")]])
+              for value in ("nan", "inf", "zero", "negative")],
+            "ks-gate-one", "ks-gate-two"])
     def test_bad_argument_is_config_error(self, argv, message, capsys):
         code = run_cli(*argv)
         assert code == cli.EXIT_CONFIG_ERROR

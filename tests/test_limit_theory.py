@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 import time
 
 import numpy as np
@@ -29,7 +31,7 @@ class TestPoissonPmf:
                 assert 0.0 <= lt.poisson_pmf(lam, k) <= 1.0
 
     def test_log_space_continuity(self):
-        # The k=30 switchover must not introduce a jump.
+        # Consecutive values keep the ratio lam / k across k = 30 and 31.
         lam = 17.0
         direct = lam**30 * math.exp(-lam) / math.factorial(30)
         assert lt.poisson_pmf(lam, 31) == pytest.approx(direct * lam / 31, rel=1e-12)
@@ -39,6 +41,46 @@ class TestPoissonPmf:
             lt.poisson_pmf(0.0, 1)
         with pytest.raises(InvalidLambda):
             lt.poisson_pmf(-1.0, 1)
+
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_lambda(self, lam):
+        with pytest.raises(InvalidLambda, match="positive and finite"):
+            lt.poisson_pmf(lam, 3)
+
+    @pytest.mark.parametrize("k", [-1, -1.0, 2.5, np.int64(-3)])
+    def test_invalid_k(self, k):
+        with pytest.raises(InvalidLambda, match="non-negative integer"):
+            lt.poisson_pmf(2.0, k)
+
+    def test_whole_float_and_numpy_k(self):
+        assert lt.poisson_pmf(2.0, 3.0) == lt.poisson_pmf(2.0, np.int64(3)) \
+            == lt.poisson_pmf(2.0, 3)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0, 4.0, 20.0, 200.0])
+    def test_direct_product_bits_up_to_30(self, lam):
+        # the form every theory matrix and standardization used before the
+        # factorial table, to the bit
+        for k in range(31):
+            assert lt.poisson_pmf(lam, k) == lam**k * math.exp(-lam) / math.factorial(k)
+
+    @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0, 4.0, 20.0, 200.0, 720.0])
+    def test_relative_error_against_decimal_oracle(self, lam):
+        # 720 puts exp(-lam) below the normal floats, so every k takes the
+        # decimal route; at 200 it starts where lam**k overflows, and k = 607
+        # was 8.6e-13 off in the log-space form exp(k log lam - lam - lgamma(k + 1))
+        with decimal.localcontext(prec=40):
+            d = decimal.Decimal(lam)
+            e = (-d).exp()
+            for k in range(int(3 * lam) + 61):
+                exact = e * d**k / math.factorial(k)
+                if exact < decimal.Decimal(sys.float_info.min):
+                    continue
+                got = lt.poisson_pmf(lam, k)
+                assert abs((decimal.Decimal(got) - exact) / exact) <= 1e-14, (lam, k)
+
+    def test_underflow_is_zero(self):
+        assert lt.poisson_pmf(1e5, 10) == 0.0
+        assert lt.poisson_pmf(0.5, 2000) == 0.0
 
 
 class TestPoissonTail:

@@ -208,3 +208,79 @@ class TestExactLaws:
         assert mono.surjection_count(3, 2) == 6
         assert mono.surjection_count(4, 4) == math.factorial(4)
         assert mono.surjection_count(2, 3) == 0
+
+
+def criterion_7_pairs():
+    """(smaller, larger) for every pair that acceptance criterion 7 checks."""
+    pairs = [(mono.exact_empty_box_law(n, m + 1), mono.exact_empty_box_law(n, m))
+             for n in range(2, 6) for m in range(8)]
+    laws = {m: mono.gnm_count_law(4, m) for m in range(7)}
+    for j in range(4):
+        def stat(counts, j=j):
+            return counts[: j + 1].sum()
+        pairs += [(mono.functional_law(laws[m + 1], stat), mono.functional_law(laws[m], stat))
+                  for m in range(6)]
+    return pairs
+
+
+def masses(d):
+    return {x: Fraction(w, d.total) for x, w in zip(d.support.tolist(), d.weights)}
+
+
+class TestExactDominance:
+    def test_two_to_the_minus_52_crossing_is_caught(self):
+        # the CDFs cross the wrong way by 2.2e-16, far inside CDF_TOL
+        d1 = mono.FiniteDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        d2 = mono.FiniteDistribution(np.array([0.0, 1.0]),
+                                     np.array([0.5 + 2.0**-52, 0.5 - 2.0**-52]))
+        assert mono.check_stochastic_dominance(d1, d2) == (False, 0.0)
+        with pytest.raises(NotComparable):
+            mono.quantile_coupling(d1, d2)
+        assert mono.check_stochastic_dominance(d2, d1) == (True, None)
+
+    def test_float_probs_weigh_their_binary_values(self):
+        probs = [0.1, 0.2, 0.7]
+        d = mono.FiniteDistribution(np.array([0.0, 1.0, 2.0]), np.array(probs))
+        exact = [Fraction(p) for p in probs]
+        assert list(masses(d).values()) == [p / sum(exact) for p in exact]
+        assert d.probs.tolist() == probs
+
+    def test_exact_laws_carry_their_integer_counts(self):
+        law = mono.exact_empty_box_law(4, 3)
+        assert law.total == 4**3
+        assert law.weights == tuple(math.comb(4, z) * mono.surjection_count(3, 4 - z)
+                                    for z in (1, 2, 3))
+        assert law.probs.tolist() == [w / 4**3 for w in law.weights]
+
+    @pytest.mark.parametrize("weights", [(1, 2), (-1, 2, 2), (0, 0, 0), (1.0, 1, 1)],
+                             ids=["probs-mismatch", "negative", "all-zero", "float"])
+    def test_rejects_bad_weights(self, weights):
+        with pytest.raises(ValueError):
+            mono.FiniteDistribution(np.array([0.0, 1.0, 2.0]),
+                                    np.array([0.25, 0.25, 0.5]), weights)
+
+    def test_coupling_marginals_are_exact_on_criterion_7(self):
+        for smaller, larger in criterion_7_pairs():
+            atoms = mono.quantile_coupling(smaller, larger)
+            m1, m2 = {}, {}
+            for x1, x2, p in atoms:
+                assert x1 <= x2 and type(p) is Fraction and p > 0
+                m1[x1] = m1.get(x1, 0) + p
+                m2[x2] = m2.get(x2, 0) + p
+            assert m1 == masses(smaller) and m2 == masses(larger)
+
+    def test_cdf_tol_changes_no_verdict(self, monkeypatch):
+        # both directions, so that failing pairs carry witnesses too
+        def decisions():
+            out = []
+            for smaller, larger in criterion_7_pairs():
+                for d1, d2 in ((smaller, larger), (larger, smaller)):
+                    ok, witness = mono.check_stochastic_dominance(d1, d2)
+                    atoms = mono.quantile_coupling(d1, d2) if ok else None
+                    out.append((ok, witness, atoms))
+            return out
+
+        before = decisions()
+        assert any(not ok for ok, _, _ in before)
+        monkeypatch.setattr(mono, "CDF_TOL", 0.5)
+        assert decisions() == before
