@@ -172,12 +172,11 @@ def check_args(args) -> None:
             raise ValueError("the limit laws need lambda_n > 0 (m > 0 or p > 0)")
         if args.reps < mc_engine.MIN_REPS:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
-        for name, gate in (("z_gate", args.z_gate), ("ks_gate", args.ks_gate)):
-            if not 0.0 < gate < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {gate}")
-        if not args.ks_gate < 1.0:
-            raise ValueError(f"ks_gate must be below 1 (a KS distance is at most 1), "
-                             f"got {args.ks_gate}")
+        # a KS distance is at most 1, so a ks_gate of 1 or more fails nothing
+        for name, gate, top, bound in (("z_gate", args.z_gate, math.inf, ""),
+                                       ("ks_gate", args.ks_gate, 1.0, " and below 1")):
+            if not 0.0 < gate < top:
+                raise ValueError(f"{name} must be positive and finite{bound}, got {gate}")
         cpus = os.cpu_count() or 1
         if not 1 <= args.workers <= cpus:
             raise ValueError(f"workers must be in [1, {cpus}], got {args.workers}")

@@ -23,6 +23,10 @@ TAIL_MASS_GATE = 1e-12
 _FACTORIALS = tuple(float(math.factorial(k)) for k in range(171))   # 171! overflows
 _DIRECT_MAX_LAM = 708.0     # exp(-lam) is a normal float below lam = 708.39
 _LOG_UNDERFLOW = -746.0     # e^-746 is below half the smallest subnormal float
+# B_2m / (2m (2m - 1)) as (numerator, denominator), m = 1..8
+_STIRLING_SERIES = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
+                    (-691, 360360), (1, 156), (-3617, 122400))
+_TWO_PI = decimal.Decimal("6.283185307179586476925286766559005768394")
 
 ALLOC = "ALLOC"
 GNP = "GNP"
@@ -34,15 +38,16 @@ def poisson_pmf(lam: float, k: int) -> float:
     """P(Po(lam) = k), to within a few units in the last place.
 
     Up to k = 170, while lam**k is finite and exp(-lam) is a normal float, it
-    is the direct product lam**k * exp(-lam) / k!; past that range the same
-    product is taken in decimal arithmetic and rounded once.
+    is the direct product lam**k * exp(-lam) / k!; past that range it is
+    taken in decimal arithmetic and rounded once.
     """
     if lam <= 0.0:
         raise InvalidLambda(f"lambda must be positive, got {lam}")
-    if type(lam) is not float or type(k) is not int:   # numpy scalars, a whole float k
-        if k < 0 or k != int(k):
+    if type(k) is not int:                      # numpy integers, a whole float k
+        if k != int(k):
             raise InvalidLambda(f"k must be a non-negative integer, got {k}")
-        return poisson_pmf(float(lam), int(k))
+        k = int(k)
+    lam = float(lam)
     if k < 0:
         raise InvalidLambda(f"k must be a non-negative integer, got {k}")
     if k <= 170 and lam < _DIRECT_MAX_LAM:
@@ -54,15 +59,28 @@ def poisson_pmf(lam: float, k: int) -> float:
 
 
 def _decimal_pmf(lam: float, k: int) -> float:
-    """exp(-lam) lam^k / k! in 30-digit decimal arithmetic, whose exponent
-    range has no overflow or underflow, rounded once to a float."""
+    """exp(-lam) lam^k / k! in 40-digit decimal arithmetic over the widest
+    decimal exponent range, so no step overflows or underflows, rounded once
+    to a float.
+
+    Past k = 170, k! is replaced by Stirling's series
+    k! = sqrt(2 pi k) (k/e)^k exp(sum_m B_2m / (2m (2m-1) k^(2m-1))), whose
+    eight terms leave an error below 1e-38 there, so the cost does not grow
+    with the digits of k!.
+    """
     if not lam < math.inf:
         raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
     if k * math.log(lam) - lam - math.lgamma(k + 1) < _LOG_UNDERFLOW:
         return 0.0
-    with decimal.localcontext(prec=30):
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
         d = decimal.Decimal(lam)
-        return float((-d).exp() * d**k / math.factorial(k))
+        if k < len(_FACTORIALS):
+            return float((-d).exp() * d**k / math.factorial(k))
+        dk = decimal.Decimal(k)
+        series = sum(decimal.Decimal(num) / (den * dk**(2 * m - 1))
+                     for m, (num, den) in enumerate(_STIRLING_SERIES, start=1))
+        return float((dk - d - series).exp() * (d / dk)**k / (_TWO_PI * dk).sqrt())
 
 
 def poisson_tail_mass(lam: float, k: int) -> float:

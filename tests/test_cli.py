@@ -325,7 +325,8 @@ class TestArgumentErrors:
         *[(("alloc", "--n", "100", "--m", "100", flag, value),
            f"{flag[2:].replace('-', '_')} must be positive and finite")
           for flag in ("--z-gate", "--ks-gate") for value in ("nan", "inf", "0", "-1")],
-        *[(("alloc", "--n", "100", "--m", "100", "--ks-gate", value), "ks_gate must be below 1")
+        *[(("alloc", "--n", "100", "--m", "100", "--ks-gate", value),
+           "ks_gate must be positive and finite and below 1")
           for value in ("1", "2")],
     ], ids=["grid-zero", "T-negative", "lam-zero", "K-below-truncation", "monotone-n-nine",
             "monotone-n-one", "max-m-zero", "reps-one", "reps-fifty",

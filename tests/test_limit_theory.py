@@ -68,7 +68,8 @@ class TestPoissonPmf:
         # 720 puts exp(-lam) below the normal floats, so every k takes the
         # decimal route; at 200 it starts where lam**k overflows, and k = 607
         # was 8.6e-13 off in the log-space form exp(k log lam - lam - lgamma(k + 1))
-        with decimal.localcontext(prec=40):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
             d = decimal.Decimal(lam)
             e = (-d).exp()
             for k in range(int(3 * lam) + 61):
@@ -77,6 +78,23 @@ class TestPoissonPmf:
                     continue
                 got = lt.poisson_pmf(lam, k)
                 assert abs((decimal.Decimal(got) - exact) / exact) <= 1e-14, (lam, k)
+
+    def test_near_the_mode_of_a_large_lambda(self):
+        # k! as a 50-digit running product, independent of the Stirling series;
+        # lam**k alone is beyond 10**999999 here
+        lam, ks = 2e5, (199_000, 200_000, 201_000)
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = 50, decimal.MAX_EMAX, decimal.MIN_EMIN
+            d = decimal.Decimal(lam)
+            e = (-d).exp()
+            factorial, j = decimal.Decimal(1), 1
+            for k in ks:
+                for j in range(j, k + 1):
+                    factorial *= j
+                j = k + 1
+                exact = e * d**k / factorial
+                got = lt.poisson_pmf(lam, k)
+                assert abs((decimal.Decimal(got) - exact) / exact) <= 1e-14, k
 
     def test_underflow_is_zero(self):
         assert lt.poisson_pmf(1e5, 10) == 0.0
