@@ -167,8 +167,14 @@ def check_args(args) -> None:
     if args.experiment in mc_engine.EXPERIMENT_MODELS:
         params = _sampling_params(args)
         mc_engine.check_params(args.experiment, params, args.seed)
-        if args.experiment != "spacings" and not mc_engine.model_lambda_n(
-                args.experiment, params) > 0:
+        if args.experiment == "spacings":
+            # e^-a underflows to 0 for a >= 746 (and rounds to 1 for tiny a): the
+            # residual variance is then 0, and every z would compare 0 with 0
+            if not (args.a < math.inf
+                    and limit_theory.spacings_limit_constants(args.a).residual > 0.0):
+                raise ValueError(f"the limit law needs a finite a with a positive "
+                                 f"residual variance, got a = {args.a}")
+        elif not mc_engine.model_lambda_n(args.experiment, params) > 0:
             raise ValueError("the limit laws need lambda_n > 0 (m > 0 or p > 0)")
         if args.reps < mc_engine.MIN_REPS:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
@@ -192,8 +198,12 @@ def check_args(args) -> None:
             raise ValueError(f"n must be in [2, {monotone.DESK_MAX_N}], got {args.n}")
         if not 1 <= args.max_m <= monotone.DESK_MAX_M:
             raise ValueError(f"max_m must be in [1, {monotone.DESK_MAX_M}], got {args.max_m}")
-    elif not (args.grid > 0.0 and args.T > 0.0):
-        raise ValueError(f"grid and T must be positive, got grid={args.grid}, T={args.T}")
+    elif not (0.0 < args.grid < math.inf and 0.0 < args.T < math.inf):
+        raise ValueError(f"grid and T must be positive and finite, got grid={args.grid}, "
+                         f"T={args.T}")
+    elif 2.0 * args.T / args.grid + 1.0 > cwold.MAX_GRID_POINTS:
+        raise ValueError(f"the scan may have at most {cwold.MAX_GRID_POINTS} points per axis "
+                         f"(2T/grid + 1), got grid={args.grid}, T={args.T}")
 
 
 def _run_sampling_experiment(args, params: dict) -> mc_engine.VerificationReport:

@@ -19,6 +19,7 @@ from .errors import ArityMismatch, NoDifferenceFound
 
 DEFAULT_GRID_STEP = 0.015
 DEFAULT_GRID_EXTENT = 3.0
+MAX_GRID_POINTS = 2001     # per axis of the [-T, T] scan: 5x the default's 401
 INDISTINGUISHABLE_TOL = 1e-9
 
 

@@ -118,40 +118,62 @@ def sample_poissonized_allocation(n: int, lam: float, rng: np.random.Generator,
                             tail_balls=tail_balls), m
 
 
+def _column(b: int, idx: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
+    """j = idx - row_start(i) + i + 1 = idx - (b-2-i)i/2 + 1, in place."""
+    np.subtract(b - 2, i, out=j)
+    np.multiply(j, i, out=j)
+    np.right_shift(j, 1, out=j)
+    np.subtract(idx, j, out=j)
+    np.add(j, 1, out=j)
+
+
 def _decode_pairs(n: int, idx: np.ndarray) -> np.ndarray:
     """Invert the lexicographic enumeration of the C(n,2) vertex pairs.
 
-    Row i (pairs (i, i+1..n-1)) starts at row_start(i) = i(2n-i-1)/2; the row
-    of idx is the floor of the smaller root of row_start(i) = idx, corrected by
-    one integer step either way for float rounding of the square root.  The
-    discriminant is exact in int64 and rounded to float once; the root is
-    non-negative, so truncation is its floor.  Returns the (2, len(idx)) int64
-    endpoint array with rows i and j; the row starts are computed in row j."""
+    With b = 2n-1, row i (pairs (i, i+1..n-1)) starts at row_start(i) =
+    i(b-i)/2, so the row of idx is i = floor(b/2 - sqrt(b^2/4 - 2 idx)).  While
+    b^2 < 2**53, that is n <= 47,453,133, the float64 evaluation is exact:
+    - idx, -2 idx, b^2/4 and their sum, the quarter discriminant, are
+      multiples of 1/4 below 2**51, so each is exact;
+    - at a row start the discriminant is the perfect square (b/2 - i)^2, whose
+      correctly rounded root b/2 - i is exact, so the row start decodes to i;
+    - b/2 - sqrt(b^2/4 - 2x) rises by at least 2/b per unit of x, so every
+      other idx lies at least 2/b > 2**-25.5 from an integer.  The rounding
+      of the root and of the subtraction is at most 2**-28 while the root is
+      at least b/4 (the subtraction is then exact), and 1.5 * 2**-28 below
+      that, where the gap is about 4/b: more than 5x short of the gap.
+    Truncation of the non-negative result is then its floor.  Above the bound
+    the discriminant is rounded once from its exact int64 value, and two
+    integer passes move i by one row either way where it is off.  Returns the
+    (2, len(idx)) int64 endpoint array with rows i and j; the float scratch
+    and the row starts live in row j."""
+    b = 2 * n - 1
+    exact = b * b < 1 << 53
     ends = np.empty((2, len(idx)), dtype=np.int64)
     i, j = ends
-    b = 2 * n - 1
-    np.multiply(idx, -8, out=j)
-    j += b * b
-    root = np.sqrt(j, dtype=np.float64)
-    np.subtract(b, root, out=root)
-    np.divide(root, 2, out=i, casting="unsafe")
-
-    def decode_j():     # j = idx - row_start(i) + i + 1 = idx - (b-2-i)i/2 + 1
-        np.subtract(b - 2, i, out=j)
-        np.multiply(j, i, out=j)
-        np.right_shift(j, 1, out=j)
-        np.subtract(idx, j, out=j)
-        np.add(j, 1, out=j)
-
-    decode_j()
-    off = j <= i                            # row_start(i) > idx: one row too high
-    if off.any():
-        i -= off
-        decode_j()
-    np.greater_equal(j, n, out=off)         # idx >= row_start(i + 1): one row too low
-    if off.any():
-        i += off
-        decode_j()
+    root = j.view(np.float64)              # the quarter discriminant, then its root
+    if exact:
+        root[...] = idx
+        root *= -2.0
+        root += b * b / 4
+    else:
+        np.multiply(idx, -8, out=j)
+        j += b * b
+        root[...] = j
+        root *= 0.25
+    np.sqrt(root, out=root)
+    np.subtract(b / 2, root, out=root)
+    i[...] = root
+    _column(b, idx, i, j)
+    if not exact:
+        off = j <= i                        # row_start(i) > idx: one row too high
+        if off.any():
+            i -= off
+            _column(b, idx, i, j)
+        np.greater_equal(j, n, out=off)     # idx >= row_start(i + 1): one row too low
+        if off.any():
+            i += off
+            _column(b, idx, i, j)
     return ends
 
 
@@ -171,15 +193,18 @@ def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
     # shuffle makes the same calls as permutation(pool.size), and is fastest
     # on 8-byte items.  Each pass sorts in place and keeps the first of each run.
     dtype = np.uint32 if c <= 1 << 32 else np.int64
-    pool = np.empty(0, dtype=dtype)
-    while pool.size < m:
-        draw = rng.integers(0, c, size=max(2 * (m - pool.size) + 16, 64), dtype=dtype)
-        draw = np.concatenate([pool, draw]) if pool.size else draw
+    draw = rng.integers(0, c, size=max(2 * m + 16, 64), dtype=dtype)
+    while True:
         draw.sort()
-        first = np.ones(draw.size, dtype=bool)
+        first = np.empty(draw.size, dtype=bool)
+        first[0] = True
         np.not_equal(draw[1:], draw[:-1], out=first[1:])
         pool = draw[first]
         del draw, first                     # freed before the next pass or the widening
+        if pool.size >= m:
+            break
+        draw = np.concatenate([pool, rng.integers(
+            0, c, size=max(2 * (m - pool.size) + 16, 64), dtype=dtype)])
     pool = pool.astype(np.int64, copy=False)
     rng.shuffle(pool)
     pool.resize(m, refcheck=False)          # frees the unused tail in place

@@ -285,8 +285,11 @@ class TestArgumentErrors:
         (("alloc", "--n", "10", "--m", "0"), "need lambda_n > 0"),
         (("gnm", "--n", "10", "--m", "0"), "need lambda_n > 0"),
         (("gnp", "--n", "10", "--p", "0"), "need lambda_n > 0"),
+        (("spacings", "--n", "100", "--a", "800"), "positive residual variance"),
+        (("spacings", "--n", "100", "--a", "inf"), "positive residual variance"),
     ], ids=["n-zero", "m-negative", "p-above-one", "a-zero", "max-k-negative",
-            "seed-negative", "alloc-no-balls", "gnm-no-edges", "gnp-p-zero"])
+            "seed-negative", "alloc-no-balls", "gnm-no-edges", "gnp-p-zero",
+            "a-underflows", "a-infinite"])
     def test_bad_parameter_is_config_error(self, argv, message, capsys):
         code = run_cli(*argv, "--reps", "200")
         assert code == cli.EXIT_CONFIG_ERROR
@@ -315,6 +318,10 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv,message", [
         (("cwold", "--grid", "0"), "grid and T must be positive"),
         (("cwold", "--T", "-1"), "grid and T must be positive"),
+        (("cwold", "--T", "inf"), "grid and T must be positive and finite"),
+        (("cwold", "--grid", "inf"), "grid and T must be positive and finite"),
+        (("cwold", "--T", "1e308"), "at most 2001 points per axis"),
+        (("cwold", "--grid", "1e-300"), "at most 2001 points per axis"),
         (("transfer", "--lam", "0"), "lam must be positive"),
         (("transfer", "--K", "3"), "K must be >= 18"),
         (("monotone", "--n", "9"), "n must be in [2, 8]"),
@@ -328,7 +335,8 @@ class TestArgumentErrors:
         *[(("alloc", "--n", "100", "--m", "100", "--ks-gate", value),
            "ks_gate must be positive and finite and below 1")
           for value in ("1", "2")],
-    ], ids=["grid-zero", "T-negative", "lam-zero", "K-below-truncation", "monotone-n-nine",
+    ], ids=["grid-zero", "T-negative", "T-infinite", "grid-infinite", "T-huge", "grid-tiny",
+            "lam-zero", "K-below-truncation", "monotone-n-nine",
             "monotone-n-one", "max-m-zero", "reps-one", "reps-fifty",
             *[f"{gate}-{value}" for gate in ("z-gate", "ks-gate")
               for value in ("nan", "inf", "zero", "negative")],

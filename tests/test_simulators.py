@@ -259,10 +259,11 @@ class TestDecodePairs:
         ti, tj = np.triu_indices(n, 1)
         assert np.array_equal(i, ti) and np.array_equal(j, tj)
 
-    # Beyond n ~ 5e7 the discriminant exceeds 2**53 and rounds in float64, so at
-    # n = 1e9 the row before each row start decodes one row too high before the
-    # integer fix-up.
-    @pytest.mark.parametrize("n", [10**6, 3 * 10**6, 10**9])
+    # Up to n = 47,453,133 the discriminant (2n-1)^2 - 8 idx stays below 2**53
+    # and the float decode is exact with no fix-up; from n = 47,453,134 on it
+    # can round in float64 and the guarded fix-up runs: at n = 1e9 the row
+    # before each row start decodes one row too high before it.
+    @pytest.mark.parametrize("n", [10**6, 3 * 10**6, 47_453_133, 47_453_134, 10**9])
     def test_round_trip_large_n(self, n):
         idx = _boundary_indices(n)
         ends = sim._decode_pairs(n, idx)
