@@ -162,8 +162,9 @@ def _sampling_params(args) -> dict:
 
 
 def check_args(args) -> None:
-    """Reject, with a ValueError, arguments the chosen experiment cannot run
-    with, before anything runs."""
+    """Reject, with a ValueError (a TruncationError where lambda_n has no
+    truncation index), arguments the chosen experiment cannot run with, before
+    anything runs or is allocated."""
     if args.experiment in mc_engine.EXPERIMENT_MODELS:
         params = _sampling_params(args)
         mc_engine.check_params(args.experiment, params, args.seed)
@@ -174,8 +175,23 @@ def check_args(args) -> None:
                     and limit_theory.spacings_limit_constants(args.a).residual > 0.0):
                 raise ValueError(f"the limit law needs a finite a with a positive "
                                  f"residual variance, got a = {args.a}")
-        elif not mc_engine.model_lambda_n(args.experiment, params) > 0:
-            raise ValueError("the limit laws need lambda_n > 0 (m > 0 or p > 0)")
+            # below one expected exceedance (or non-exceedance) nearly every
+            # count is 0 (or n), and the sample variance is 0
+            above = args.n * math.exp(-args.a)
+            below = -args.n * math.expm1(-args.a)
+            if min(above, below) < 1.0:
+                raise ValueError(f"the expected counts n e^-a and n (1 - e^-a) must both be "
+                                 f"at least 1, got {above:.3g} and {below:.3g}")
+        else:
+            lam = mc_engine.model_lambda_n(args.experiment, params)
+            if not lam > 0:
+                raise ValueError("the limit laws need lambda_n > 0 (m > 0 or p > 0)")
+            # past the truncation index the limit mass is below TAIL_MASS_GATE, so
+            # a marginal there reads only 0 and its z is inf
+            k_max = limit_theory.truncation_index(lam)
+            if args.max_k > k_max:
+                raise ValueError(f"max_k must be at most {k_max}, the truncation index of "
+                                 f"Poisson({lam:g}), got {args.max_k}")
         if args.reps < mc_engine.MIN_REPS:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
         # a KS distance is at most 1, so a ks_gate of 1 or more fails nothing

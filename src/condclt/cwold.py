@@ -11,11 +11,11 @@ quadrant yet differ elsewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ArityMismatch, NoDifferenceFound
+from .errors import CondCltError
 
 DEFAULT_GRID_STEP = 0.015
 DEFAULT_GRID_EXTENT = 3.0
@@ -23,8 +23,7 @@ MAX_GRID_POINTS = 2001     # per axis of the [-T, T] scan: 5x the default's 401
 INDISTINGUISHABLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CharFnExpr:
+class CharFnExpr(NamedTuple):
     """Expression node: TRIANGULAR / PERIODIC_TRIANGULAR bases or a PAIR."""
 
     kind: str
@@ -47,7 +46,7 @@ def periodic_triangular() -> CharFnExpr:
 
 def pair(u: CharFnExpr, v: CharFnExpr) -> CharFnExpr:
     if u.arity != 1 or v.arity != 1:
-        raise ArityMismatch("PAIR composes two scalar base cfs")
+        raise CondCltError("PAIR composes two scalar base cfs")
     return CharFnExpr(kind="PAIR", u=u, v=v)
 
 
@@ -65,7 +64,7 @@ def _eval_scalar(expr: CharFnExpr, t):
     if expr.kind == "PERIODIC_TRIANGULAR":
         r = np.mod(t + 1.0, 2.0) - 1.0     # reduce to [-1, 1)
         return 1.0 - np.abs(r)
-    raise ArityMismatch(f"{expr.kind} is not a scalar base")
+    raise CondCltError(f"{expr.kind} is not a scalar base")
 
 
 def eval_cf(expr: CharFnExpr, t):
@@ -80,7 +79,7 @@ def eval_cf(expr: CharFnExpr, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if t.shape == (1,):
         return float(_eval_scalar(expr, t[0]))
-    raise ArityMismatch(f"base cf takes one argument, got shape {t.shape}")
+    raise CondCltError(f"base cf takes one argument, got shape {t.shape}")
 
 
 def _trigamma(x: float) -> float:
@@ -128,7 +127,7 @@ def counterexample_witness(cf_x: CharFnExpr, cf_y: CharFnExpr,
                            extent: float = DEFAULT_GRID_EXTENT):
     """Point of maximal |phi_X - phi_Y| over [-T, T]^2 minus the first quadrant.
 
-    Raises NoDifferenceFound when the scanned maximum is below 1e-9 (the two
+    Raises CondCltError when the scanned maximum is below 1e-9 (the two
     cfs are indistinguishable both on and off the quadrant at grid resolution).
     """
     if h <= 0 or extent <= 0:
@@ -140,9 +139,8 @@ def counterexample_witness(cf_x: CharFnExpr, cf_y: CharFnExpr,
     flat = int(np.argmax(diff))
     i, j = np.unravel_index(flat, diff.shape)
     if diff[i, j] < INDISTINGUISHABLE_TOL:
-        raise NoDifferenceFound(
-            f"max off-quadrant difference {diff[i, j]:.3e} below {INDISTINGUISHABLE_TOL}"
-        )
+        raise CondCltError(f"max off-quadrant difference {diff[i, j]:.3e} below "
+                           f"{INDISTINGUISHABLE_TOL}")
     return (float(ts[i]), float(ts[j])), float(diff[i, j])
 
 

@@ -1,61 +1,13 @@
-"""Exception hierarchy shared by all condclt modules."""
+"""The two exception classes that callers tell apart.
+
+``cli.main`` maps a CondCltError raised while an experiment runs to exit 3;
+``cli.check_args`` maps a TruncationError to exit 2, a configuration error.
+"""
 
 
 class CondCltError(Exception):
-    """Base class for all condclt errors."""
-
-
-class DimensionMismatch(CondCltError):
-    pass
-
-
-class SingularYBlock(CondCltError):
-    pass
-
-
-class SingularTransform(CondCltError):
-    pass
-
-
-class InvalidCovariance(CondCltError):
-    pass
-
-
-class InvalidLambda(CondCltError):
-    pass
-
-
-class InvalidA(CondCltError):
-    pass
+    """A numeric or range failure inside condclt."""
 
 
 class TruncationError(CondCltError):
-    pass
-
-
-class OutOfDeskRange(CondCltError):
-    pass
-
-
-class NotComparable(CondCltError):
-    pass
-
-
-class TooManyEdges(CondCltError):
-    pass
-
-
-class InsufficientReplicates(CondCltError):
-    pass
-
-
-class DegenerateVariance(CondCltError):
-    pass
-
-
-class ArityMismatch(CondCltError):
-    pass
-
-
-class NoDifferenceFound(CondCltError):
-    pass
+    """A Poisson truncation that fails its gate: no index, tail mass or PSD floor."""

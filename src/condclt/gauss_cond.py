@@ -9,16 +9,9 @@ commute with conditioning, which is exposed as ``conjugate_by_transform``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidCovariance,
-    SingularTransform,
-    SingularYBlock,
-)
+from .errors import CondCltError
 
 # Numerical gates, shared by validation and conditioning.
 SYMMETRY_RTOL = 1e-12
@@ -29,7 +22,7 @@ COND_NUMBER_GATE = 1e12
 def _check_symmetric(cov: np.ndarray, name: str = "cov") -> None:
     scale = max(np.abs(cov).max(), 1.0)
     if np.abs(cov - cov.T).max() > SYMMETRY_RTOL * scale:
-        raise InvalidCovariance(f"{name} is not symmetric to within {SYMMETRY_RTOL} relative")
+        raise CondCltError(f"{name} is not symmetric to within {SYMMETRY_RTOL} relative")
 
 
 def _check_psd(eigs: np.ndarray, cov: np.ndarray) -> None:
@@ -37,9 +30,7 @@ def _check_psd(eigs: np.ndarray, cov: np.ndarray) -> None:
     PSD floor."""
     floor = PSD_EIG_FLOOR * max(np.trace(cov), 1e-300)
     if eigs.min() < floor:
-        raise InvalidCovariance(
-            f"cov has eigenvalue {eigs.min():.3e} below the PSD floor {floor:.3e}"
-        )
+        raise CondCltError(f"cov has eigenvalue {eigs.min():.3e} below the PSD floor {floor:.3e}")
 
 
 def _clamp_psd(cov: np.ndarray) -> np.ndarray:
@@ -53,29 +44,23 @@ def _clamp_psd(cov: np.ndarray) -> np.ndarray:
     return (vecs * np.clip(eigs, 0.0, None)) @ vecs.T
 
 
-@dataclass(frozen=True)
 class JointGaussian:
     """Gaussian on R^(q+r) with the first q coordinates as X and the last r as Y."""
 
-    q: int
-    r: int
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        if self.q < 1 or self.r < 1:
-            raise DimensionMismatch("q and r must be positive")
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        d = self.q + self.r
-        if mean.shape != (d,):
-            raise DimensionMismatch(f"mean must have length {d}, got {mean.shape}")
-        if cov.shape != (d, d):
-            raise DimensionMismatch(f"cov must be {d}x{d}, got {cov.shape}")
-        _check_symmetric(cov)
-        _check_psd(np.linalg.eigvalsh(cov), cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+    def __init__(self, q: int, r: int, mean, cov):
+        if q < 1 or r < 1:
+            raise CondCltError("q and r must be positive")
+        self.q = q
+        self.r = r
+        self.mean = np.asarray(mean, dtype=float)
+        self.cov = np.asarray(cov, dtype=float)
+        d = q + r
+        if self.mean.shape != (d,):
+            raise CondCltError(f"mean must have length {d}, got {self.mean.shape}")
+        if self.cov.shape != (d, d):
+            raise CondCltError(f"cov must be {d}x{d}, got {self.cov.shape}")
+        _check_symmetric(self.cov)
+        _check_psd(np.linalg.eigvalsh(self.cov), self.cov)
 
     @property
     def mean_x(self) -> np.ndarray:
@@ -98,22 +83,15 @@ class JointGaussian:
         return self.cov[self.q:, self.q:]
 
 
-@dataclass(frozen=True)
 class ConditionalGaussian:
     """Law of X given Y = y: mean vector, covariance, and regression matrix gamma."""
 
-    mean: np.ndarray
-    cov: np.ndarray
-    gamma: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        gamma = np.atleast_2d(np.asarray(self.gamma, dtype=float))
+    def __init__(self, mean, cov, gamma):
+        self.mean = np.asarray(mean, dtype=float)
+        cov = np.asarray(cov, dtype=float)
         _check_symmetric(cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", _clamp_psd(cov))
-        object.__setattr__(self, "gamma", gamma)
+        self.cov = _clamp_psd(cov)
+        self.gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
 
 
 def condition_on_vector(jg: JointGaussian, y) -> ConditionalGaussian:
@@ -125,11 +103,11 @@ def condition_on_vector(jg: JointGaussian, y) -> ConditionalGaussian:
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (jg.r,):
-        raise DimensionMismatch(f"y must have length {jg.r}, got {y.shape}")
+        raise CondCltError(f"y must have length {jg.r}, got {y.shape}")
     syy = jg.cov_yy
     cond = np.linalg.cond(syy)
     if cond > COND_NUMBER_GATE:
-        raise SingularYBlock(f"Var(Y) condition number {cond:.3e} exceeds {COND_NUMBER_GATE:.0e}")
+        raise CondCltError(f"Var(Y) condition number {cond:.3e} exceeds {COND_NUMBER_GATE:.0e}")
     # A = Sxy Syy^{-1}, via a symmetric solve rather than explicit inversion.
     a = np.linalg.solve(syy, jg.cov_xy.T).T
     mean = jg.mean_x + a @ (y - jg.mean_y)
@@ -143,19 +121,17 @@ def residual_variance(sx2: float, sy2: float, sxy: float) -> float:
     Returns sx2 - sxy^2/sy2, which equals (1 - rho^2) sx2 whenever sx2 > 0.
     """
     if sy2 <= 0.0:
-        raise SingularYBlock(f"sy2 = {sy2} is not positive")
+        raise CondCltError(f"sy2 = {sy2} is not positive")
     if sx2 < 0.0:
-        raise InvalidCovariance(f"sx2 = {sx2} is negative")
+        raise CondCltError(f"sx2 = {sx2} is negative")
     if sxy * sxy > sx2 * sy2 + 1e-12 * max(sx2 * sy2, 1.0):
-        raise InvalidCovariance(
-            f"Cauchy-Schwarz violated: sxy^2 = {sxy * sxy} > sx2*sy2 = {sx2 * sy2}"
-        )
+        raise CondCltError(f"Cauchy-Schwarz violated: sxy^2 = {sxy * sxy} > sx2*sy2 = {sx2 * sy2}")
     out = sx2 - sxy * sxy / sy2
     if sx2 > 0.0:
         rho2 = sxy * sxy / (sx2 * sy2)
         alt = (1.0 - rho2) * sx2
         if abs(out - alt) > 1e-12 * max(abs(out), abs(alt), 1.0):
-            raise InvalidCovariance(f"residual {out!r} != (1 - rho^2) sx2 = {alt!r}")
+            raise CondCltError(f"residual {out!r} != (1 - rho^2) sx2 = {alt!r}")
     return max(out, 0.0)
 
 
@@ -167,9 +143,9 @@ def conjugate_by_transform(t: np.ndarray, jg: JointGaussian, xi: float) -> Condi
     """
     t = np.asarray(t, dtype=float)
     if t.shape != (jg.q, jg.q):
-        raise DimensionMismatch(f"T must be {jg.q}x{jg.q}, got {t.shape}")
+        raise CondCltError(f"T must be {jg.q}x{jg.q}, got {t.shape}")
     if np.linalg.cond(t) > COND_NUMBER_GATE:
-        raise SingularTransform(f"T condition number {np.linalg.cond(t):.3e} too large")
+        raise CondCltError(f"T condition number {np.linalg.cond(t):.3e} too large")
     q, r = jg.q, jg.r
     mean = np.concatenate([t @ jg.mean_x, jg.mean_y])
     cov = np.empty((q + r, q + r))

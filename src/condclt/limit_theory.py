@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import gauss_cond
-from .errors import InvalidA, InvalidCovariance, InvalidLambda, TruncationError
+from .errors import CondCltError, TruncationError
 
 TAIL_MASS_GATE = 1e-12
 
@@ -42,14 +41,14 @@ def poisson_pmf(lam: float, k: int) -> float:
     taken in decimal arithmetic and rounded once.
     """
     if lam <= 0.0:
-        raise InvalidLambda(f"lambda must be positive, got {lam}")
+        raise CondCltError(f"lambda must be positive, got {lam}")
     if type(k) is not int:                      # numpy integers, a whole float k
         if k != int(k):
-            raise InvalidLambda(f"k must be a non-negative integer, got {k}")
+            raise CondCltError(f"k must be a non-negative integer, got {k}")
         k = int(k)
     lam = float(lam)
     if k < 0:
-        raise InvalidLambda(f"k must be a non-negative integer, got {k}")
+        raise CondCltError(f"k must be a non-negative integer, got {k}")
     if k <= 170 and lam < _DIRECT_MAX_LAM:
         try:
             return lam**k * math.exp(-lam) / _FACTORIALS[k]
@@ -69,7 +68,7 @@ def _decimal_pmf(lam: float, k: int) -> float:
     with the digits of k!.
     """
     if not lam < math.inf:
-        raise InvalidLambda(f"lambda must be positive and finite, got {lam}")
+        raise CondCltError(f"lambda must be positive and finite, got {lam}")
     if k * math.log(lam) - lam - math.lgamma(k + 1) < _LOG_UNDERFLOW:
         return 0.0
     with decimal.localcontext() as ctx:
@@ -92,7 +91,7 @@ def poisson_tail_mass(lam: float, k: int) -> float:
     the mode the tail is not small and 1 - P(Po(lam) <= k) is exact enough.
     """
     if lam <= 0.0:
-        raise InvalidLambda(f"lambda must be positive, got {lam}")
+        raise CondCltError(f"lambda must be positive, got {lam}")
     if k < 0:
         return 1.0
     if k + 1 <= lam:
@@ -168,8 +167,7 @@ def gnm_degree_cov(lam: float, j: int, k: int) -> float:
     return pi_j * pi_k * (-(j - lam) * (k - lam) / lam - 1.0) + pi_k * delta
 
 
-@dataclass(frozen=True)
-class TheoryCovariance:
+class TheoryCovariance(NamedTuple):
     """Truncated (K+1)x(K+1) limit covariance matrix for one model."""
 
     model: str
@@ -217,13 +215,13 @@ def expected_degree_count_exact(n: int, p: float, k: int) -> float:
 def weiss_variance(lam: float) -> float:
     """Limit variance of the standardized number of empty boxes."""
     if lam <= 0.0:
-        raise InvalidLambda(f"lambda must be positive, got {lam}")
+        raise CondCltError(f"lambda must be positive, got {lam}")
     out = math.exp(-lam) - math.exp(-2 * lam) - lam * math.exp(-2 * lam)
     # Cross-check against the generic residual-variance route.
     e = math.exp(-lam)
     alt = gauss_cond.residual_variance(e * (1.0 - e), lam, -lam * e)
     if abs(out - alt) > 1e-14 * max(1.0, abs(out)):
-        raise InvalidCovariance(f"Weiss variance {out!r} != conditioning route {alt!r}")
+        raise CondCltError(f"Weiss variance {out!r} != conditioning route {alt!r}")
     return out
 
 
@@ -238,7 +236,7 @@ def spacings_limit_constants(a: float) -> SpacingsConstants:
     """Joint limit (co)variances for the count of spacings exceeding a/n,
     paired with the normalized total, plus the conditional residual variance."""
     if a <= 0.0:
-        raise InvalidA(f"a must be positive, got {a}")
+        raise CondCltError(f"a must be positive, got {a}")
     e = math.exp(-a)
     sx2 = e * (1.0 - e)
     sxy = a * e
@@ -246,7 +244,7 @@ def spacings_limit_constants(a: float) -> SpacingsConstants:
     residual = gauss_cond.residual_variance(sx2, sy2, sxy)
     closed = e - e * e - a * a * e * e
     if abs(residual - closed) > 1e-14 * max(1.0, abs(closed)):
-        raise InvalidCovariance(f"spacings residual {residual!r} != closed form {closed!r}")
+        raise CondCltError(f"spacings residual {residual!r} != closed form {closed!r}")
     return SpacingsConstants(sx2, sxy, sy2, residual)
 
 

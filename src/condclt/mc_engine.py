@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import limit_theory, simulators
-from .errors import DegenerateVariance, DimensionMismatch, InsufficientReplicates
+from .errors import CondCltError
 
 EXPERIMENT_MODELS = ("alloc", "gnp", "gnm", "spacings")
 DEFAULT_Z_GATE = 4.0
@@ -39,25 +39,21 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-@dataclass(frozen=True)
 class StandardizationSpec:
     """Affine standardization (x - b_n)/a_n of a count vector."""
 
-    a_n: float
-    b_n: np.ndarray
-
-    def __post_init__(self):
-        if not self.a_n > 0:
-            raise ValueError(f"a_n must be positive, got {self.a_n}")
-        object.__setattr__(self, "b_n", np.asarray(self.b_n, dtype=float))
+    def __init__(self, a_n: float, b_n):
+        if not a_n > 0:
+            raise ValueError(f"a_n must be positive, got {a_n}")
+        self.a_n = a_n
+        self.b_n = np.asarray(b_n, dtype=float)
 
 
 def standardize(x, spec: StandardizationSpec) -> np.ndarray:
     """(x - b_n)/a_n for one count vector or an (R, dim) matrix of count rows."""
     shape = np.shape(x)
     if len(shape) not in (1, 2) or shape[-1:] != spec.b_n.shape:
-        raise DimensionMismatch(f"x shape {shape} does not end in b_n shape "
-                                f"{spec.b_n.shape}")
+        raise CondCltError(f"x shape {shape} does not end in b_n shape {spec.b_n.shape}")
     out = np.subtract(x, spec.b_n, dtype=float)
     out /= spec.a_n
     return out
@@ -85,7 +81,7 @@ class MomentAccumulator:
         two-pass step instead of count calls to update."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
-            raise DimensionMismatch(f"block shape {rows.shape}, expected (count, dim)")
+            raise CondCltError(f"block shape {rows.shape}, expected (count, dim)")
         out = cls(rows.shape[1])
         if len(rows) == 0:
             return out
@@ -101,7 +97,7 @@ class MomentAccumulator:
     def update(self, x) -> None:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
-            raise DimensionMismatch(f"sample shape {x.shape}, expected ({self.dim},)")
+            raise CondCltError(f"sample shape {x.shape}, expected ({self.dim},)")
         n1 = self.count
         self.count = n = n1 + 1
         delta = x - self.mean
@@ -122,7 +118,7 @@ class MomentAccumulator:
         """Combine two disjoint accumulators; associative and commutative up to
         float rounding."""
         if other.dim != self.dim:
-            raise DimensionMismatch("accumulator dimensions differ")
+            raise CondCltError("accumulator dimensions differ")
         if other.count == 0:
             return self._copy()
         if self.count == 0:
@@ -162,7 +158,7 @@ class MomentAccumulator:
 
     def covariance(self) -> np.ndarray:
         if self.count < 2:
-            raise InsufficientReplicates("need at least 2 samples for a covariance")
+            raise CondCltError("need at least 2 samples for a covariance")
         cov = self.comoment / (self.count - 1)
         return 0.5 * (cov + cov.T)
 
@@ -335,20 +331,22 @@ def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
     return out, elapsed - sampling_s, elapsed
 
 
-@dataclass
 class ExperimentRun:
     """Replicated experiment output: total and per-batch accumulators, the
     standardized sample matrix (reps x dim) and the wall time of each phase."""
 
-    model: str
-    params: dict
-    reps: int
-    seed: int
-    acc: MomentAccumulator
-    batch_accs: list[MomentAccumulator]
-    samples: np.ndarray
-    wall_time: float = 0.0
-    timings: dict = field(default_factory=dict)
+    def __init__(self, model: str, params: dict, reps: int, seed: int,
+                 acc: MomentAccumulator, batch_accs: list[MomentAccumulator],
+                 samples: np.ndarray, wall_time: float = 0.0, timings: dict | None = None):
+        self.model = model
+        self.params = params
+        self.reps = reps
+        self.seed = seed
+        self.acc = acc
+        self.batch_accs = batch_accs
+        self.samples = samples
+        self.wall_time = wall_time
+        self.timings = {} if timings is None else timings
 
 
 def run_experiment(model: str, params: dict, reps: int, seed: int,
@@ -364,7 +362,7 @@ def run_experiment(model: str, params: dict, reps: int, seed: int,
     """
     check_params(model, params, seed)
     if reps < 2:
-        raise InsufficientReplicates(f"reps must be >= 2, got {reps}")
+        raise CondCltError(f"reps must be >= 2, got {reps}")
     clock = time.perf_counter
     start = clock()
     if workers <= 1:
@@ -408,8 +406,7 @@ def run_experiment(model: str, params: dict, reps: int, seed: int,
                          wall_time=end - start, timings=timings)
 
 
-@dataclass
-class ComparisonEntry:
+class ComparisonEntry(NamedTuple):
     kind: str                   # "mean" or "cov"
     i: int
     j: int
@@ -419,27 +416,38 @@ class ComparisonEntry:
     z: float
 
 
-@dataclass
 class VerificationReport:
-    experiment: str
-    params: dict
-    seed: int
-    z_gate: float
-    ks_gate: float
-    entries: list[ComparisonEntry] = field(default_factory=list)
-    normality: list[dict] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)   # gates not run, with why
-    checks: list[dict] = field(default_factory=list)    # analytic name/value/bound/passed
-    passed: bool = False
-    wall_time: float = 0.0
-    timings: dict = field(default_factory=dict)         # ExperimentRun.timings
-    provenance: dict = field(default_factory=dict)      # versions, seed, workers, argv
+    """A run's verdict, with its provenance (versions, seed, workers, argv).
+
+    Every container a caller leaves out starts empty and belongs to this report
+    alone.  vars(report) keeps the argument order, which is the key order of
+    to_dict and of the JSON report."""
+
+    def __init__(self, experiment: str, params: dict, seed: int, z_gate: float,
+                 ks_gate: float, entries: list[ComparisonEntry] | None = None,
+                 normality: list[dict] | None = None, skipped: list[dict] | None = None,
+                 checks: list[dict] | None = None, passed: bool = False,
+                 wall_time: float = 0.0, timings: dict | None = None,
+                 provenance: dict | None = None):
+        self.experiment = experiment
+        self.params = params
+        self.seed = seed
+        self.z_gate = z_gate
+        self.ks_gate = ks_gate
+        self.entries = [] if entries is None else entries
+        self.normality = [] if normality is None else normality
+        self.skipped = [] if skipped is None else skipped   # gates not run, with why
+        self.checks = [] if checks is None else checks      # analytic name/value/bound/passed
+        self.passed = passed
+        self.wall_time = wall_time
+        self.timings = {} if timings is None else timings   # ExperimentRun.timings
+        self.provenance = {} if provenance is None else provenance
 
     def max_abs_z(self) -> float:
         return max((abs(e.z) for e in self.entries), default=0.0)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "entries": [vars(e) for e in self.entries]}
+        return {**vars(self), "entries": [e._asdict() for e in self.entries]}
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
@@ -486,7 +494,7 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
     batch-means standard errors across the per-batch covariance estimates.
     """
     if run.acc.count < MIN_REPS:
-        raise InsufficientReplicates(f"need >= {MIN_REPS} replicates, got {run.acc.count}")
+        raise CondCltError(f"need >= {MIN_REPS} replicates, got {run.acc.count}")
     theory_mean = np.asarray(theory_mean, dtype=float)
     theory_cov = np.asarray(theory_cov, dtype=float)
     report = VerificationReport(
@@ -509,10 +517,10 @@ def normality_distance(samples, mu: float, sigma2: float) -> float:
     """
     samples = np.sort(np.asarray(samples, dtype=float))
     if sigma2 <= 0.0:
-        raise DegenerateVariance(f"sigma2 = {sigma2} is not positive")
+        raise CondCltError(f"sigma2 = {sigma2} is not positive")
     n = len(samples)
     if n < KS_MIN_REPS:
-        raise InsufficientReplicates(f"need >= {KS_MIN_REPS} samples, got {n}")
+        raise CondCltError(f"need >= {KS_MIN_REPS} samples, got {n}")
     first = np.flatnonzero(np.r_[True, samples[1:] != samples[:-1]])
     end = np.r_[first[1:], n]
     z = (samples[first] - mu) / math.sqrt(sigma2)

@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotComparable, OutOfDeskRange
+from .errors import CondCltError
 
 CDF_TOL = 1e-12             # how far float probs may sum from 1
 DESK_MAX_N = 8              # exact_empty_box_law's range: n <= 8, m <= 12
 DESK_MAX_M = 12
 
 
-@dataclass(frozen=True)
 class FiniteDistribution:
     """Finitely supported distribution with strictly increasing support.
 
@@ -32,13 +30,9 @@ class FiniteDistribution:
     power of two; given, ``probs`` must be their correctly rounded ratios.
     """
 
-    support: np.ndarray
-    probs: np.ndarray
-    weights: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=float)
-        probs = np.asarray(self.probs, dtype=float)
+    def __init__(self, support, probs, weights: tuple[int, ...] | None = None):
+        support = np.asarray(support, dtype=float)
+        probs = np.asarray(probs, dtype=float)
         if not (support.ndim == probs.ndim == 1 and len(support) == len(probs)):
             raise ValueError("support and probs must be 1-D arrays of equal length")
         if not np.all(np.diff(support) > 0):
@@ -47,20 +41,20 @@ class FiniteDistribution:
             raise ValueError("probs must be non-negative")
         if not abs(probs.sum() - 1.0) <= CDF_TOL:
             raise ValueError(f"probs sum to {probs.sum()!r}, not 1")
-        if self.weights is None:
+        if weights is None:
             ratios = [p.as_integer_ratio() for p in probs.tolist()]
             scale = max(d for _, d in ratios)
             weights = tuple(n * (scale // d) for n, d in ratios)
         else:
-            weights = tuple(self.weights)
+            weights = tuple(weights)
             if not all(type(w) is int and w >= 0 for w in weights) or not any(weights):
                 raise ValueError("weights must be non-negative ints, not all 0")
             total = sum(weights)
             if probs.tolist() != [w / total for w in weights]:
                 raise ValueError("probs are not the float values of weights / sum(weights)")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "weights", weights)
+        self.support = support
+        self.probs = probs
+        self.weights = weights
 
     @property
     def total(self) -> int:
@@ -89,7 +83,7 @@ def exact_empty_box_law(n: int, m: int) -> FiniteDistribution:
     """Exact law of the number of empty boxes after m uniform throws into n
     boxes: C(n, z) surj(m, n - z) of the n^m throws leave z boxes empty."""
     if not (1 <= n <= DESK_MAX_N) or not (0 <= m <= DESK_MAX_M):
-        raise OutOfDeskRange(f"(n={n}, m={m}) outside the exact-enumeration range")
+        raise CondCltError(f"(n={n}, m={m}) outside the exact-enumeration range")
     return from_weights({float(z): math.comb(n, z) * surjection_count(m, n - z)
                          for z in range(n + 1)})
 
@@ -121,7 +115,7 @@ def quantile_coupling(d1: FiniteDistribution, d2: FiniteDistribution):
     """
     ok, witness = check_stochastic_dominance(d1, d2)
     if not ok:
-        raise NotComparable(f"dominance fails at x = {witness}")
+        raise CondCltError(f"dominance fails at x = {witness}")
     t1, t2 = d1.total, d2.total
     # both laws on the common scale t1 * t2, so every mass is an integer
     w1 = [w * t2 for w in d1.weights]
@@ -151,7 +145,7 @@ def enumerate_allocation_counts(n: int, m: int):
     """All n^m equiprobable throws; returns the (n^m, m+1) matrix of occupancy
     count vectors (counts[j] = boxes with exactly j balls)."""
     if n**m > 2_000_000:
-        raise OutOfDeskRange(f"n^m = {n**m} too large to enumerate")
+        raise CondCltError(f"n^m = {n**m} too large to enumerate")
     rows = []
     for balls in itertools.product(range(n), repeat=m):
         occ = np.bincount(np.array(balls, dtype=np.int64), minlength=n)
@@ -164,7 +158,7 @@ def enumerate_gnm_degree_counts(n: int, m: int):
     matrix of degree count vectors."""
     pairs = list(itertools.combinations(range(n), 2))
     if math.comb(len(pairs), m) > 2_000_000:
-        raise OutOfDeskRange("too many graphs to enumerate")
+        raise CondCltError("too many graphs to enumerate")
     rows = []
     for subset in itertools.combinations(pairs, m):
         deg = np.zeros(n, dtype=np.int64)
@@ -189,7 +183,7 @@ def allocation_count_law(n: int, m: int) -> dict[tuple, Fraction]:
     """Exact law of the occupancy count vector (counts[j] = boxes with j balls)
     via multinomial weights over compositions; scales far beyond n^m."""
     if math.comb(m + n - 1, n - 1) > 200_000:
-        raise OutOfDeskRange("too many compositions to enumerate")
+        raise CondCltError("too many compositions to enumerate")
     law: dict[tuple, Fraction] = {}
     denom = n**m
     m_fact = math.factorial(m)

@@ -10,18 +10,16 @@ conservation identities hold exactly on every draw.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import TooManyEdges
+from .errors import CondCltError
 
 DEFAULT_MAX_K = 40
 
 
-@dataclass(frozen=True)
-class OccupancyProfile:
+class OccupancyProfile(NamedTuple):
     """Counts of boxes by exact occupancy, with a tail bucket beyond max_k."""
 
     n: int
@@ -40,8 +38,7 @@ class OccupancyProfile:
             raise ValueError(f"sum(j * counts[j]) + tail_balls = {balls} != m = {self.m}")
 
 
-@dataclass(frozen=True)
-class DegreeCounts:
+class DegreeCounts(NamedTuple):
     """Counts of vertices by degree, with a tail bucket beyond max_k."""
 
     n: int
@@ -61,8 +58,7 @@ class DegreeCounts:
                              f"!= 2m = {2 * self.m}")
 
 
-@dataclass(frozen=True)
-class SpacingsSample:
+class SpacingsSample(NamedTuple):
     """The n gaps induced by uniform points on the unit circle."""
 
     n: int
@@ -181,7 +177,7 @@ def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
     """Uniform m-subset of the C(n,2) edge indices."""
     c = n * (n - 1) // 2
     if m > c:
-        raise TooManyEdges(f"m = {m} exceeds C(n,2) = {c}")
+        raise CondCltError(f"m = {m} exceeds C(n,2) = {c}")
     if m == 0:
         return np.empty(0, dtype=np.int64)
     if m > 0.6 * c:
@@ -301,7 +297,7 @@ def sample_gnm_batch(n: int, m: int, reps: int, rng: np.random.Generator) -> np.
     Intended for small n (the key matrix is reps x C(n,2))."""
     c = n * (n - 1) // 2
     if m > c:
-        raise TooManyEdges(f"m = {m} exceeds C(n,2) = {c}")
+        raise CondCltError(f"m = {m} exceeds C(n,2) = {c}")
     i_all, j_all = _decode_pairs(n, np.arange(c, dtype=np.int64))
     out = np.empty((reps, n), dtype=np.int64)
     chunk = max(1, int(2e7) // max(c, 1))

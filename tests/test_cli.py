@@ -199,7 +199,7 @@ class TestSamplingSubcommands:
 class TestImports:
     def test_runs_load_no_scipy(self):
         """Every subcommand runs without scipy, and importing the CLI loads no
-        multiprocessing module."""
+        multiprocessing or dataclasses module."""
         script = "\n".join([
             "import json, sys",
             "from condclt import cli",
@@ -218,6 +218,7 @@ class TestImports:
         assert "numpy" in modules["runs"]
         assert [m for m in modules["runs"] if m.split(".")[0] == "scipy"] == []
         assert [m for m in modules["import"] if m.split(".")[0] == "multiprocessing"] == []
+        assert "dataclasses" not in modules["import"]
 
 
 class TestConfigFile:
@@ -287,15 +288,40 @@ class TestArgumentErrors:
         (("gnp", "--n", "10", "--p", "0"), "need lambda_n > 0"),
         (("spacings", "--n", "100", "--a", "800"), "positive residual variance"),
         (("spacings", "--n", "100", "--a", "inf"), "positive residual variance"),
+        # n e^-a or n (1 - e^-a) below 1: (nearly) every count is 0 or n
+        (("spacings", "--n", "100", "--a", "20"), "got 2.06e-07 and 100"),
+        (("spacings", "--n", "100", "--a", "700"), "got 9.86e-303 and 100"),
+        (("spacings", "--n", "100", "--a", "1e-10"), "got 100 and 1e-08"),
+        # past the truncation index a marginal reads only 0; 1e5 has no index
+        (("alloc", "--n", "1000", "--m", "1000", "--max-k", "20"),
+         "max_k must be at most 14, the truncation index of Poisson(1), got 20"),
+        (("alloc", "--n", "10", "--m", "10", "--max-k", "100000"), "max_k must be at most 14"),
+        (("gnm", "--n", "2000", "--m", "2000", "--max-k", "19"), "max_k must be at most 18"),
+        (("gnp", "--n", "2000", "--p", "0.000001"), "max_k must be at most 3"),
+        (("alloc", "--n", "10", "--m", "1000000"), "no truncation index below 10000"),
     ], ids=["n-zero", "m-negative", "p-above-one", "a-zero", "max-k-negative",
             "seed-negative", "alloc-no-balls", "gnm-no-edges", "gnp-p-zero",
-            "a-underflows", "a-infinite"])
-    def test_bad_parameter_is_config_error(self, argv, message, capsys):
+            "a-underflows", "a-infinite", "a-no-exceedances", "a-huge", "a-tiny",
+            "max-k-past-index", "max-k-huge", "gnm-max-k-past-index", "gnp-tiny-lambda",
+            "lambda-no-index"])
+    def test_bad_parameter_is_config_error(self, argv, message, capsys, monkeypatch):
+        # rejected before anything is allocated or run
+        monkeypatch.setattr(mc_engine, "run_experiment", None)
         code = run_cli(*argv, "--reps", "200")
         assert code == cli.EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
         assert message in captured.err
         assert "PASS" not in captured.out and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("alloc", "--n", "1000", "--m", "1000", "--max-k", "14"),
+        ("gnm", "--n", "2000", "--m", "2000", "--max-k", "18"),
+        ("gnp", "--n", "2000", "--p", "0.000001", "--max-k", "3"),
+        ("spacings", "--n", "100", "--a", "4.6"),       # n e^-a = 1.005
+        ("spacings", "--n", "100", "--a", "0.0101"),    # n (1 - e^-a) = 1.005
+    ])
+    def test_parameter_at_its_bound_is_accepted(self, argv):
+        cli.check_args(cli.build_parser().parse_args([*argv, "--reps", "200"]))
 
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_workers_out_of_range_is_config_error(self, workers, capsys, monkeypatch):

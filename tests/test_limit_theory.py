@@ -8,7 +8,7 @@ import pytest
 from scipy.special import pdtrc
 
 from condclt import limit_theory as lt
-from condclt.errors import InvalidA, InvalidCovariance, InvalidLambda, TruncationError
+from condclt.errors import CondCltError, TruncationError
 
 E = math.e
 LAMBDAS = [0.5, 1.0, 2.0, 4.0]
@@ -37,19 +37,19 @@ class TestPoissonPmf:
         assert lt.poisson_pmf(lam, 31) == pytest.approx(direct * lam / 31, rel=1e-12)
 
     def test_invalid_lambda(self):
-        with pytest.raises(InvalidLambda):
+        with pytest.raises(CondCltError, match="lambda must be positive"):
             lt.poisson_pmf(0.0, 1)
-        with pytest.raises(InvalidLambda):
+        with pytest.raises(CondCltError, match="lambda must be positive"):
             lt.poisson_pmf(-1.0, 1)
 
     @pytest.mark.parametrize("lam", [math.inf, math.nan])
     def test_non_finite_lambda(self, lam):
-        with pytest.raises(InvalidLambda, match="positive and finite"):
+        with pytest.raises(CondCltError, match="positive and finite"):
             lt.poisson_pmf(lam, 3)
 
     @pytest.mark.parametrize("k", [-1, -1.0, 2.5, np.int64(-3)])
     def test_invalid_k(self, k):
-        with pytest.raises(InvalidLambda, match="non-negative integer"):
+        with pytest.raises(CondCltError, match="non-negative integer"):
             lt.poisson_pmf(2.0, k)
 
     def test_whole_float_and_numpy_k(self):
@@ -246,14 +246,14 @@ class TestWeissVariance:
         assert values[-1] < 1e-7
 
     def test_invalid(self):
-        with pytest.raises(InvalidLambda):
+        with pytest.raises(CondCltError, match="lambda must be positive"):
             lt.weiss_variance(0.0)
 
     def test_cross_check_raises(self, monkeypatch):
         monkeypatch.setattr(lt.gauss_cond, "residual_variance", lambda *args: 0.5)
-        with pytest.raises(InvalidCovariance):
+        with pytest.raises(CondCltError, match="Weiss variance .* != conditioning route"):
             lt.weiss_variance(1.0)
-        with pytest.raises(InvalidCovariance):
+        with pytest.raises(CondCltError, match="spacings residual .* != closed form"):
             lt.spacings_limit_constants(1.0)
 
 
@@ -272,7 +272,7 @@ class TestSpacingsConstants:
         assert lt.spacings_limit_constants(math.log(2)).sx2 == pytest.approx(0.25, abs=1e-15)
 
     def test_invalid(self):
-        with pytest.raises(InvalidA):
+        with pytest.raises(CondCltError, match="a must be positive"):
             lt.spacings_limit_constants(-1.0)
 
 

@@ -10,11 +10,7 @@ from scipy.special import ndtr
 from condclt import limit_theory as lt
 from condclt import mc_engine as mc
 from condclt import monotone, simulators
-from condclt.errors import (
-    DegenerateVariance,
-    DimensionMismatch,
-    InsufficientReplicates,
-)
+from condclt.errors import CondCltError
 
 
 class TestStandardize:
@@ -43,7 +39,7 @@ class TestStandardize:
 
     def test_shape_mismatch(self):
         spec = mc.standardization_for("alloc", {"n": 100, "m": 100, "max_k": 2})
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CondCltError, match="does not end in b_n shape"):
             mc.standardize([1.0], spec)
 
     def test_matrix_equals_rows(self):
@@ -55,9 +51,9 @@ class TestStandardize:
 
     def test_matrix_shape_mismatch(self):
         spec = mc.standardization_for("alloc", {"n": 100, "m": 100, "max_k": 2})
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CondCltError, match="does not end in b_n shape"):
             mc.standardize(np.zeros((4, 2)), spec)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CondCltError, match="does not end in b_n shape"):
             mc.standardize(np.zeros((2, 4, 3)), spec)
 
     @pytest.mark.parametrize("a_n", [0.0, -1.0, float("nan")])
@@ -127,11 +123,11 @@ class TestMomentAccumulator:
     def test_insufficient_for_covariance(self):
         acc = mc.MomentAccumulator(2)
         acc.update([1.0, 2.0])
-        with pytest.raises(InsufficientReplicates):
+        with pytest.raises(CondCltError, match="need at least 2 samples"):
             acc.covariance()
 
     def test_wrong_dim_update(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CondCltError, match="sample shape"):
             mc.MomentAccumulator(2).update([1.0])
 
 
@@ -172,7 +168,7 @@ class TestFromBlock:
         assert acc.merge(mc.MomentAccumulator.from_block(self.DATA[:5, :3])).count == 5
 
     def test_rejects_vector(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(CondCltError, match="block shape"):
             mc.MomentAccumulator.from_block(np.zeros(3))
 
 
@@ -224,7 +220,7 @@ class TestRunExperiment:
         assert run.samples.tobytes() == serial.samples.tobytes()
 
     def test_too_few_reps(self):
-        with pytest.raises(InsufficientReplicates):
+        with pytest.raises(CondCltError, match="reps must be >= 2"):
             mc.run_experiment("alloc", {"n": 5, "m": 5, "max_k": 1}, reps=1, seed=0)
 
     def test_dump_reconstructs_counts(self, tmp_path):
@@ -292,7 +288,7 @@ class TestCompareToTheory:
     def test_requires_100_reps(self):
         run = mc.run_experiment("alloc", {"n": 4, "m": 3, "max_k": 1},
                                 reps=50, seed=0)
-        with pytest.raises(InsufficientReplicates):
+        with pytest.raises(CondCltError, match="need >= 100 replicates"):
             mc.compare_to_theory(run, np.zeros(2), np.eye(2))
 
     def test_zero_stderr_covariance_fails(self):
@@ -331,6 +327,27 @@ class TestCompareToTheory:
         older = report.to_dict()        # written before reports carried checks
         del older["checks"]
         assert mc.VerificationReport.from_dict(older).checks == []
+        # built positionally, as the bench's analytic workload builds its rows
+        entry = mc.ComparisonEntry("octant_max", 3, -1, 0.0, 1.5, 0.0, 0.0)
+        assert (entry.kind, entry.i, entry.j, entry.estimate) == ("octant_max", 3, -1, 1.5)
+        report.entries.append(entry)
+        out = report.to_dict()
+        assert list(out) == ["experiment", "params", "seed", "z_gate", "ks_gate", "entries",
+                             "normality", "skipped", "checks", "passed", "wall_time",
+                             "timings", "provenance"]
+        assert list(out["entries"][-1]) == ["kind", "i", "j", "theory", "estimate",
+                                            "stderr", "z"]
+        back = mc.VerificationReport.from_dict(out)
+        assert back.entries[-1] == entry
+        assert back.to_dict() == out
+        # each report built without them gets its own empty containers
+        a, b = (mc.VerificationReport("alloc", {}, 0, 4.0, 0.05) for _ in range(2))
+        for name in ("entries", "normality", "skipped", "checks", "timings", "provenance"):
+            assert not getattr(a, name)
+            assert getattr(a, name) is not getattr(b, name)
+        a.skipped.append({"gate": "ks"})
+        a.timings["streams_s"] = 0.0
+        assert b.skipped == [] and b.timings == {}
 
 
 def _ndtr_normality_distance(samples, mu, sigma2):
@@ -359,11 +376,11 @@ class TestNormalityDistance:
         assert mc.normality_distance(x, 0.0, 1.0) >= 0.5
 
     def test_degenerate_variance(self):
-        with pytest.raises(DegenerateVariance):
+        with pytest.raises(CondCltError, match="sigma2 = 0.0 is not positive"):
             mc.normality_distance(np.zeros(2000), 0.0, 0.0)
 
     def test_needs_1000(self):
-        with pytest.raises(InsufficientReplicates):
+        with pytest.raises(CondCltError, match="need >= 1000 samples"):
             mc.normality_distance(np.zeros(mc.KS_MIN_REPS - 1), 0.0, 1.0)
         assert mc.normality_distance(np.zeros(mc.KS_MIN_REPS), 0.0, 1.0) == 0.5
 

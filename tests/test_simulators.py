@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from condclt import monotone, simulators as sim
-from condclt.errors import TooManyEdges
+from condclt.errors import CondCltError
 
 
 def rng_for(seed=0):
@@ -123,7 +123,7 @@ class TestSampleGnm:
         assert dc.counts[0] == 8
 
     def test_too_many_edges(self):
-        with pytest.raises(TooManyEdges):
+        with pytest.raises(CondCltError, match=r"m = 4 exceeds C\(n,2\) = 3"):
             sim.sample_gnm(3, 4, rng_for())
 
     def test_exact_means_against_enumeration(self):
