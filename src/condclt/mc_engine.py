@@ -27,6 +27,15 @@ DEFAULT_N_BATCHES = 20
 MIN_REPS = 100              # fewest replicates compare_to_theory accepts
 KS_MIN_REPS = 1000          # fewest samples normality_distance accepts
 STREAM_BLOCK = 1024         # replicate streams derived together
+# glibc gives the top of its heap back to the kernel once more than twice its
+# mmap threshold lies free there, so each replicate with megabyte-sized arrays
+# faulted its pages in anew (798 minor faults per gnm replicate at
+# n = m = 1e5).  Freeing one mmapped block raises both thresholds to the
+# block's size (mallopt(3), M_MMAP_THRESHOLD), which glibc caps at 32 MiB; the
+# block is never written to, so it costs no resident memory.  64 bytes per
+# item is twice the largest replicate array, gnm's 2m-index draw.
+_HEAP_BLOCK_PER_ITEM = 64
+_HEAP_BLOCK_MAX = 16 << 20
 
 # SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx and
 # pcg64.h).  numpy keeps both algorithms stream-stable across versions.
@@ -321,6 +330,8 @@ def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
             m = int(rng.binomial(c, params["p"])) if model == "gnp" else params["m"]
             return np.bincount(kernel(n, m, rng), minlength=dim)[:dim]
 
+    np.empty(min(_HEAP_BLOCK_PER_ITEM * max(n, params.get("m", 0)), _HEAP_BLOCK_MAX),
+             dtype=np.uint8)
     out = np.empty((hi - lo, dim), dtype=np.int64)
     sampling_s = 0.0
     for row, rng in enumerate(_replicate_rngs(seed, lo, hi)):

@@ -1,4 +1,9 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,6 +263,27 @@ class TestRunExperiment:
         assert len(run.batch_accs) == 20
         assert sum(b.count for b in run.batch_accs) == 100
         assert run.acc.count == 100
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
+    def test_replicates_reuse_heap_pages(self):
+        """Replicates with megabyte-sized arrays reuse the pages of the one
+        before, so a second experiment takes next to no minor page faults
+        (about 160 a replicate while glibc trimmed its heap after each one)."""
+        script = "\n".join([
+            "import resource",
+            "from condclt import mc_engine",
+            "params = {'n': 20000, 'm': 20000, 'max_k': 8}",
+            "mc_engine.run_experiment('gnm', params, 100, 2)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "mc_engine.run_experiment('gnm', params, 100, 2)",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert int(proc.stdout.splitlines()[-1]) < 500
 
 
 class TestCompareToTheory:
