@@ -3,11 +3,12 @@
 Subpackages:
 
 - ``gauss_cond``: exact multivariate-Gaussian conditioning (Schur complement,
-  scalar specialization, change-of-basis commutation).
+  scalar residual variance, change-of-basis commutation).
 - ``limit_theory``: closed-form limit covariances for random allocations and
   for vertex degrees in G(n,p) / G(n,m), Weiss's empty-box variance,
   spacings constants, edge-statistic moments.
-- ``simulators``: exact finite-n samplers for all models.
+- ``simulators``: one exact finite-n replicate sampler per model, and batch
+  samplers for desk-scale n.
 - ``monotone``: desk-scale exact stochastic-monotonicity verification.
 - ``mc_engine``: replicated Monte Carlo harness with mergeable moment
   accumulators and theory gates.

@@ -28,6 +28,7 @@ EXIT_NUMERIC_ERROR = 3
 
 TABLE_HEADER = ["experiment", "entry_i", "entry_j", "theory", "estimate", "stderr", "z"]
 CHECK_TABLE_HEADER = ["experiment", "name", "value", "bound", "passed"]
+MIN_TOTAL_COUNT = 20        # fewest expected counts of a marginal over all replicates
 
 
 class ConfigError(Exception):
@@ -194,6 +195,16 @@ def check_args(args) -> None:
                                  f"Poisson({lam:g}), got {args.max_k}")
         if args.reps < mc_engine.MIN_REPS:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
+        if args.experiment != "spacings":
+            # a marginal expected fewer than MIN_TOTAL_COUNT times over all the
+            # replicates together reads 0 in every one of them with probability
+            # at least e^-MIN_TOTAL_COUNT; its sample variance is then 0 and its z inf
+            total, k = min((args.reps * args.n * limit_theory.poisson_pmf(lam, k), k)
+                           for k in range(args.max_k + 1))
+            if total < MIN_TOTAL_COUNT:
+                raise ValueError(f"k = {k} expects R n pi_k(lambda_n) = {total:.6g} counts over "
+                                 f"all replicates, below {MIN_TOTAL_COUNT}; lower max_k or "
+                                 f"raise n or reps")
         # a KS distance is at most 1, so a ks_gate of 1 or more fails nothing
         for name, gate, top, bound in (("z_gate", args.z_gate, math.inf, ""),
                                        ("ks_gate", args.ks_gate, 1.0, " and below 1")):

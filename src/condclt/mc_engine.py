@@ -326,7 +326,9 @@ def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
         kernel = simulators.allocation_loads if model == "alloc" else simulators.degree_loads
         c = n * (n - 1) // 2
 
-        def draw(rng):      # gnp draws its edge count first, as sample_gnp does
+        # G(n,p) is a Bin(C(n,2), p) edge count, then a uniform edge subset of
+        # that size: the same law as independent edges
+        def draw(rng):
             m = int(rng.binomial(c, params["p"])) if model == "gnp" else params["m"]
             return np.bincount(kernel(n, m, rng), minlength=dim)[:dim]
 

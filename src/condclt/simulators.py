@@ -2,116 +2,23 @@
 
 The graph samplers never materialize an adjacency structure; they work with
 edge indices into the C(n,2) pairs and keep only the degree array, so n in
-the 10^5..10^6 range stays cheap.  The load kernels ``allocation_loads`` and
-``degree_loads`` draw the per-box and per-vertex loads; the samplers truncate
-their count vectors at a tail bucket while tracking tail occupancy, so the
-conservation identities hold exactly on every draw.
+the 10^5..10^6 range stays cheap.  One sampler per model draws a replicate:
+the load kernels ``allocation_loads`` and ``degree_loads`` return the n box
+loads or vertex degrees, which sum to m or 2m on every draw, and
+``sample_spacings`` returns the n gaps, which sum to 1.  Their parameters are
+checked once, by ``mc_engine.check_params``.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CondCltError
 
-DEFAULT_MAX_K = 40
-
-
-class OccupancyProfile(NamedTuple):
-    """Counts of boxes by exact occupancy, with a tail bucket beyond max_k."""
-
-    n: int
-    m: int
-    counts: np.ndarray          # counts[j] = boxes holding exactly j balls, j=0..max_k
-    tail_boxes: int             # boxes with more than max_k balls
-    tail_balls: int             # balls sitting in tail boxes
-
-    def validate(self) -> None:
-        boxes = int(self.counts.sum()) + self.tail_boxes
-        if boxes != self.n:
-            raise ValueError(f"sum(counts) + tail_boxes = {boxes} != n = {self.n}")
-        ks = np.arange(len(self.counts))
-        balls = int((ks * self.counts).sum()) + self.tail_balls
-        if balls != self.m:
-            raise ValueError(f"sum(j * counts[j]) + tail_balls = {balls} != m = {self.m}")
-
-
-class DegreeCounts(NamedTuple):
-    """Counts of vertices by degree, with a tail bucket beyond max_k."""
-
-    n: int
-    m: int
-    counts: np.ndarray          # counts[k] = vertices of degree k, k=0..max_k
-    tail_vertices: int
-    tail_degree_sum: int
-
-    def validate(self) -> None:
-        vertices = int(self.counts.sum()) + self.tail_vertices
-        if vertices != self.n:
-            raise ValueError(f"sum(counts) + tail_vertices = {vertices} != n = {self.n}")
-        ks = np.arange(len(self.counts))
-        degrees = int((ks * self.counts).sum()) + self.tail_degree_sum
-        if degrees != 2 * self.m:
-            raise ValueError(f"sum(k * counts[k]) + tail_degree_sum = {degrees} "
-                             f"!= 2m = {2 * self.m}")
-
-
-class SpacingsSample(NamedTuple):
-    """The n gaps induced by uniform points on the unit circle."""
-
-    n: int
-    s: np.ndarray
-
-    def validate(self) -> None:
-        if not np.all(self.s > 0.0):
-            raise ValueError(f"min(s) = {self.s.min()} is not > 0")
-        err = abs(self.s.sum() - 1.0)
-        if not err <= 1e-12:
-            raise ValueError(f"|sum(s) - 1| = {err:.3g} > 1e-12")
-
-
-def _bucket(values: np.ndarray, total_units: int, max_k: int):
-    """Split a per-item value array into counts 0..max_k plus tail bookkeeping."""
-    counts_full = np.bincount(values, minlength=max_k + 1)
-    counts = counts_full[: max_k + 1].copy()
-    tail_items = int(counts_full[max_k + 1:].sum())
-    ks = np.arange(len(counts))
-    tail_units = total_units - int((ks * counts).sum())
-    return counts, tail_items, tail_units
-
 
 def allocation_loads(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
     """Box loads of m balls thrown uniformly and independently into n boxes."""
     return np.bincount(rng.integers(0, n, size=m), minlength=n)   # m = 0 draws nothing
-
-
-def sample_allocation(n: int, m: int, rng: np.random.Generator,
-                      max_k: int = DEFAULT_MAX_K) -> OccupancyProfile:
-    """Throw m balls uniformly and independently into n boxes."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    counts, tail_boxes, tail_balls = _bucket(allocation_loads(n, m, rng), m, max_k)
-    return OccupancyProfile(n=n, m=m, counts=counts, tail_boxes=tail_boxes,
-                            tail_balls=tail_balls)
-
-
-def sample_poissonized_allocation(n: int, lam: float, rng: np.random.Generator,
-                                  max_k: int = DEFAULT_MAX_K):
-    """Poissonized model: i.i.d. Po(lam) balls per box; returns the profile and
-    the realized total M ~ Po(lam * n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    occ = rng.poisson(lam, size=n)
-    m = int(occ.sum())
-    counts, tail_boxes, tail_balls = _bucket(occ, m, max_k)
-    return OccupancyProfile(n=n, m=m, counts=counts, tail_boxes=tail_boxes,
-                            tail_balls=tail_balls), m
 
 
 def _column(b: int, idx: np.ndarray, i: np.ndarray, j: np.ndarray) -> None:
@@ -213,53 +120,17 @@ def degree_loads(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
                        minlength=n)
 
 
-def _degree_counts(n: int, m: int, deg: np.ndarray, max_k: int) -> DegreeCounts:
-    counts, tail_vertices, tail_degree_sum = _bucket(deg, 2 * m, max_k)
-    return DegreeCounts(n=n, m=m, counts=counts, tail_vertices=tail_vertices,
-                        tail_degree_sum=tail_degree_sum)
-
-
-def sample_gnp(n: int, p: float, rng: np.random.Generator,
-               max_k: int = DEFAULT_MAX_K) -> DegreeCounts:
-    """G(n, p): each of the C(n,2) edges present independently with probability p.
-
-    Implemented as a binomial edge count followed by a uniform edge subset,
-    which is the same law.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0,1], got {p}")
-    m = int(rng.binomial(n * (n - 1) // 2, p))     # no draw when C(n,2) = 0
-    return _degree_counts(n, m, degree_loads(n, m, rng), max_k)
-
-
-def sample_gnm(n: int, m: int, rng: np.random.Generator,
-               max_k: int = DEFAULT_MAX_K) -> DegreeCounts:
-    """G(n, m): a uniformly random graph with exactly m edges."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return _degree_counts(n, m, degree_loads(n, m, rng), max_k)
-
-
-def sample_spacings(n: int, rng: np.random.Generator) -> SpacingsSample:
-    """Spacings of n uniform points on a circle of circumference 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def sample_spacings(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The n gaps between n uniform points on a circle of circumference 1."""
     if n == 1:
-        return SpacingsSample(n=1, s=np.ones(1))
+        return np.ones(1)                   # draws nothing
     pts = np.sort(rng.random(n))
-    s = np.diff(pts, append=pts[0] + 1.0)
-    return SpacingsSample(n=n, s=s)
+    return np.diff(pts, append=pts[0] + 1.0)
 
 
-def exceedance_count(sample: SpacingsSample, a: float) -> int:
-    """Number of spacings greater than a/n."""
-    if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a}")
-    return int((sample.s > a / sample.n).sum())
+def exceedance_count(s: np.ndarray, a: float) -> int:
+    """Number of the len(s) spacings greater than a/len(s)."""
+    return int((s > a / len(s)).sum())
 
 
 # -- vectorized batch samplers (desk-scale n; used by enumeration-vs-sampler

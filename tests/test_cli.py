@@ -299,11 +299,19 @@ class TestArgumentErrors:
         (("gnm", "--n", "2000", "--m", "2000", "--max-k", "19"), "max_k must be at most 18"),
         (("gnp", "--n", "2000", "--p", "0.000001"), "max_k must be at most 3"),
         (("alloc", "--n", "10", "--m", "1000000"), "no truncation index below 10000"),
+        # R n pi_k below 20: that marginal reads 0 in (nearly) every replicate
+        (("alloc", "--n", "1000", "--m", "1000", "--max-k", "14"),
+         "k = 14 expects R n pi_k(lambda_n) = 8.4397e-07 counts over all replicates, "
+         "below 20"),
+        (("gnm", "--n", "1000", "--m", "1000", "--max-k", "18"), "k = 18 expects"),
+        (("alloc", "--n", "1370", "--m", "1370", "--max-k", "7"),
+         "R n pi_k(lambda_n) = 19.9998"),
     ], ids=["n-zero", "m-negative", "p-above-one", "a-zero", "max-k-negative",
             "seed-negative", "alloc-no-balls", "gnm-no-edges", "gnp-p-zero",
             "a-underflows", "a-infinite", "a-no-exceedances", "a-huge", "a-tiny",
             "max-k-past-index", "max-k-huge", "gnm-max-k-past-index", "gnp-tiny-lambda",
-            "lambda-no-index"])
+            "lambda-no-index", "max-k-never-counted", "gnm-max-k-never-counted",
+            "max-k-below-count-bound"])
     def test_bad_parameter_is_config_error(self, argv, message, capsys, monkeypatch):
         # rejected before anything is allocated or run
         monkeypatch.setattr(mc_engine, "run_experiment", None)
@@ -314,11 +322,13 @@ class TestArgumentErrors:
         assert "PASS" not in captured.out and "Traceback" not in captured.err
 
     @pytest.mark.parametrize("argv", [
-        ("alloc", "--n", "1000", "--m", "1000", "--max-k", "14"),
-        ("gnm", "--n", "2000", "--m", "2000", "--max-k", "18"),
-        ("gnp", "--n", "2000", "--p", "0.000001", "--max-k", "3"),
+        # the truncation index, at an n where R n pi_k is far above 20
+        ("alloc", "--n", "1000000000000", "--m", "1000000000000", "--max-k", "14"),
+        ("gnm", "--n", "1000000000000", "--m", "1000000000000", "--max-k", "18"),
+        ("gnp", "--n", "10000000000", "--p", "2e-13", "--max-k", "3"),
         ("spacings", "--n", "100", "--a", "4.6"),       # n e^-a = 1.005
         ("spacings", "--n", "100", "--a", "0.0101"),    # n (1 - e^-a) = 1.005
+        ("alloc", "--n", "1371", "--m", "1371", "--max-k", "7"),  # R n pi_7 = 20.01
     ])
     def test_parameter_at_its_bound_is_accepted(self, argv):
         cli.check_args(cli.build_parser().parse_args([*argv, "--reps", "200"]))

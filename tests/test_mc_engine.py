@@ -474,20 +474,25 @@ class TestVerify:
 
 def _reference_samples(model, params, reps, seed):
     """The per-replicate harness: a fresh default_rng(SeedSequence([seed, i]))
-    per replicate, the model's public sampler, then standardize on each row."""
+    per replicate, the model's sampler (for gnp a binomial edge count first),
+    its counts up to max_k, then standardize on each row."""
     spec = mc.standardization_for(model, params)
+    dim = mc.replicate_dim(model, params)
+    n = params["n"]
     rows = []
     for i in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         if model == "spacings":
-            sample = simulators.sample_spacings(params["n"], rng)
-            raw = np.array([simulators.exceedance_count(sample, params["a"])])
+            raw = np.array([simulators.exceedance_count(simulators.sample_spacings(n, rng),
+                                                        params["a"])])
         else:
-            sampler = {"alloc": simulators.sample_allocation,
-                       "gnp": simulators.sample_gnp, "gnm": simulators.sample_gnm}[model]
-            size = params["p"] if model == "gnp" else params["m"]
-            max_k = max(params["max_k"], simulators.DEFAULT_MAX_K)
-            raw = sampler(params["n"], size, rng, max_k=max_k).counts[: params["max_k"] + 1]
+            if model == "gnp":
+                m = int(rng.binomial(n * (n - 1) // 2, params["p"]))
+            else:
+                m = params["m"]
+            loads = (simulators.allocation_loads(n, m, rng) if model == "alloc"
+                     else simulators.degree_loads(n, m, rng))
+            raw = np.bincount(loads, minlength=dim)[:dim]
         rows.append(mc.standardize(raw, spec))
     return np.array(rows)
 
