@@ -3,7 +3,7 @@
 Subpackages:
 
 - ``gauss_cond``: exact multivariate-Gaussian conditioning (Schur complement,
-  scalar residual variance, change-of-basis commutation).
+  scalar residual variance).
 - ``limit_theory``: closed-form limit covariances for random allocations and
   for vertex degrees in G(n,p) / G(n,m), Weiss's empty-box variance,
   spacings constants, edge-statistic moments.

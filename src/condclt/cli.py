@@ -162,6 +162,24 @@ def _sampling_params(args) -> dict:
     return params
 
 
+def _point_mass_ks(model: str, params: dict) -> list[int]:
+    """The k <= max_k whose count takes one value in every outcome of the
+    finite-n model: every k for one box, one ball, one vertex, the complete
+    graph or one edge short of it, and a k no box load or vertex degree reaches
+    (a vertex meets at least m - C(n-1,2) edges: at most C(n-1,2) miss it)."""
+    n, m = params["n"], params.get("m")
+    if model == "alloc":
+        fixed = n == 1 or m == 1
+        low, high = 0, m
+    elif model == "gnp":
+        fixed = n == 1 or params["p"] == 1.0
+        low, high = 0, n - 1
+    else:
+        fixed = m == 1 or m >= n * (n - 1) // 2 - 1
+        low, high = m - (n - 1) * (n - 2) // 2, min(n - 1, m)
+    return [k for k in range(params["max_k"] + 1) if fixed or not low <= k <= high]
+
+
 def check_args(args) -> None:
     """Reject, with a ValueError (a TruncationError where lambda_n has no
     truncation index), arguments the chosen experiment cannot run with, before
@@ -193,6 +211,12 @@ def check_args(args) -> None:
             if args.max_k > k_max:
                 raise ValueError(f"max_k must be at most {k_max}, the truncation index of "
                                  f"Poisson({lam:g}), got {args.max_k}")
+            # a count that takes one value has sample variance 0 and z inf
+            fixed = _point_mass_ks(args.experiment, params)
+            if fixed:
+                raise ValueError(f"k = {fixed[0]}: the count takes one value at these "
+                                 f"parameters, so its z is inf; lower max_k or change n, m "
+                                 f"or p")
         if args.reps < mc_engine.MIN_REPS:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
         if args.experiment != "spacings":

@@ -82,32 +82,6 @@ def eval_cf(expr: CharFnExpr, t):
     raise CondCltError(f"base cf takes one argument, got shape {t.shape}")
 
 
-def _trigamma(x: float) -> float:
-    """psi_1(x) = sum_k 1/(x + k)^2 for x > 0: the recurrence
-    psi_1(x) = 1/x^2 + psi_1(x + 1) shifts x to >= 20, where the asymptotic
-    series through the x^-9 term is accurate to double precision."""
-    if not x > 0.0:
-        raise ValueError(f"trigamma needs x > 0, got {x}")
-    shift = 0.0
-    while x < 20.0:
-        shift += 1.0 / (x * x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    series = inv + inv2 * (0.5 + inv * (1.0 / 6.0 + inv2 * (
-        -1.0 / 30.0 + inv2 * (1.0 / 42.0 - inv2 / 30.0))))
-    return shift + series
-
-
-def periodic_triangular_lattice_mass(k_cut: int = 100_000) -> float:
-    """Total probability of the lattice law underlying the periodic cf:
-    truncated series plus an exact trigamma tail."""
-    ks = np.arange(k_cut, dtype=float)
-    partial = 0.5 + (4.0 / np.pi**2) * np.sum(1.0 / (2.0 * ks + 1.0) ** 2)
-    tail = _trigamma(k_cut + 0.5) / np.pi**2
-    return partial + tail
-
-
 def octant_equality_scan(cf_x: CharFnExpr, cf_y: CharFnExpr,
                          h: float = DEFAULT_GRID_STEP,
                          extent: float = DEFAULT_GRID_EXTENT):

@@ -3,8 +3,7 @@
 Everything here is closed-form linear algebra: given a joint Gaussian split
 into an X block (dimension q) and a Y block (dimension r), conditioning on
 Y = y produces another Gaussian with regression-shifted mean and a
-Schur-complement covariance.  Invertible changes of basis on the X block
-commute with conditioning, which is exposed as ``conjugate_by_transform``.
+Schur-complement covariance.
 """
 
 from __future__ import annotations
@@ -134,30 +133,3 @@ def residual_variance(sx2: float, sy2: float, sxy: float) -> float:
             raise CondCltError(f"residual {out!r} != (1 - rho^2) sx2 = {alt!r}")
     return max(out, 0.0)
 
-
-def conjugate_by_transform(t: np.ndarray, jg: JointGaussian, xi: float) -> ConditionalGaussian:
-    """Condition (T X, Y) on Y = xi, then map back through T^{-1}.
-
-    Conditioning commutes with invertible changes of basis on the X block,
-    so this agrees with conditioning the untransformed system directly.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (jg.q, jg.q):
-        raise CondCltError(f"T must be {jg.q}x{jg.q}, got {t.shape}")
-    if np.linalg.cond(t) > COND_NUMBER_GATE:
-        raise CondCltError(f"T condition number {np.linalg.cond(t):.3e} too large")
-    q, r = jg.q, jg.r
-    mean = np.concatenate([t @ jg.mean_x, jg.mean_y])
-    cov = np.empty((q + r, q + r))
-    cov[:q, :q] = t @ jg.cov_xx @ t.T
-    cov[:q, q:] = t @ jg.cov_xy
-    cov[q:, :q] = cov[:q, q:].T
-    cov[q:, q:] = jg.cov_yy
-    transformed = JointGaussian(q=q, r=r, mean=mean, cov=_clamp_psd(cov))
-    cond = condition_on_vector(transformed, xi)
-    t_inv = np.linalg.inv(t)
-    return ConditionalGaussian(
-        mean=t_inv @ cond.mean,
-        cov=t_inv @ cond.cov @ t_inv.T,
-        gamma=t_inv @ cond.gamma,
-    )

@@ -2,8 +2,8 @@
 
 Covers Poisson probabilities, the allocation limit covariance, the G(n,p)
 and G(n,m) degree-count covariances, Weiss's empty-box variance, exact
-finite-n degree means, spacings constants, linear-combination variances and
-the edge-statistic moments used for the analytic G(n,p) -> G(n,m) transfer.
+finite-n degree means, spacings constants and the edge-statistic moments
+used for the analytic G(n,p) -> G(n,m) transfer.
 """
 
 from __future__ import annotations
@@ -246,22 +246,6 @@ def spacings_limit_constants(a: float) -> SpacingsConstants:
     if abs(residual - closed) > 1e-14 * max(1.0, abs(closed)):
         raise CondCltError(f"spacings residual {residual!r} != closed form {closed!r}")
     return SpacingsConstants(sx2, sxy, sy2, residual)
-
-
-def lincomb_variance(lam: float, coeffs, model: str) -> float:
-    """Variance of the limit of sum_k coeffs[k] U_k over k = 0..len(coeffs)-1.
-
-    Exact for the finite coefficient array: the quadratic form against the
-    theory matrix, whose entries for 0..K do not depend on K.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 1 or len(coeffs) == 0:
-        raise ValueError("coeffs must be a non-empty 1-D sequence")
-    theory = theory_cov_matrix(model, lam, len(coeffs) - 1)
-    out = float(coeffs @ theory.matrix @ coeffs)
-    if out < -1e-10:
-        raise TruncationError(f"quadratic form {out:.3e} below the PSD floor")
-    return out
 
 
 def edge_stat_moments(lam: float, k_max: int) -> tuple[np.ndarray, float]:

@@ -71,9 +71,8 @@ def standardize(x, spec: StandardizationSpec) -> np.ndarray:
 class MomentAccumulator:
     """Mergeable running mean / co-moment state for vector samples.
 
-    Tracks the count, mean, the co-moment matrix (sum of outer products of
-    deviations) and the per-coordinate central 3rd/4th power sums needed to
-    merge fourth moments exactly.
+    Tracks the count, the mean and the co-moment matrix (sum of outer
+    products of deviations).
     """
 
     def __init__(self, dim: int):
@@ -81,8 +80,6 @@ class MomentAccumulator:
         self.count = 0
         self.mean = np.zeros(dim)
         self.comoment = np.zeros((dim, dim))
-        self.third_diag = np.zeros(dim)
-        self.fourth_diag = np.zeros(dim)
 
     @classmethod
     def from_block(cls, rows) -> "MomentAccumulator":
@@ -98,29 +95,15 @@ class MomentAccumulator:
         out.mean = rows.mean(axis=0)
         dev = rows - out.mean
         out.comoment = dev.T @ dev
-        sq = dev * dev
-        out.third_diag = (sq * dev).sum(axis=0)
-        out.fourth_diag = (sq * sq).sum(axis=0)
         return out
 
     def update(self, x) -> None:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise CondCltError(f"sample shape {x.shape}, expected ({self.dim},)")
-        n1 = self.count
-        self.count = n = n1 + 1
+        self.count += 1
         delta = x - self.mean
-        delta_n = delta / n
-        m2d = np.diag(self.comoment).copy()
-        self.fourth_diag += (
-            delta * delta_n**3 * n1 * (n * n - 3 * n + 3)
-            + 6.0 * delta_n**2 * m2d
-            - 4.0 * delta_n * self.third_diag
-        )
-        self.third_diag += (
-            delta * delta_n**2 * n1 * (n1 - 1) - 3.0 * delta_n * m2d
-        )
-        self.mean += delta_n
+        self.mean += delta / self.count
         self.comoment += np.outer(delta, x - self.mean)
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
@@ -141,19 +124,6 @@ class MomentAccumulator:
         out.comoment = (
             self.comoment + other.comoment + np.outer(delta, delta) * (na * nb / n)
         )
-        m2a = np.diag(self.comoment)
-        m2b = np.diag(other.comoment)
-        out.third_diag = (
-            self.third_diag + other.third_diag
-            + delta**3 * na * nb * (na - nb) / n**2
-            + 3.0 * delta * (na * m2b - nb * m2a) / n
-        )
-        out.fourth_diag = (
-            self.fourth_diag + other.fourth_diag
-            + delta**4 * na * nb * (na * na - na * nb + nb * nb) / n**3
-            + 6.0 * delta**2 * (na * na * m2b + nb * nb * m2a) / n**2
-            + 4.0 * delta * (na * other.third_diag - nb * self.third_diag) / n
-        )
         return out
 
     def _copy(self) -> "MomentAccumulator":
@@ -161,8 +131,6 @@ class MomentAccumulator:
         out.count = self.count
         out.mean = self.mean.copy()
         out.comoment = self.comoment.copy()
-        out.third_diag = self.third_diag.copy()
-        out.fourth_diag = self.fourth_diag.copy()
         return out
 
     def covariance(self) -> np.ndarray:

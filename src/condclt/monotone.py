@@ -216,15 +216,6 @@ def functional_law(law: dict[tuple, Fraction], fn) -> FiniteDistribution:
     return from_weights(weights)
 
 
-def scalar_law(values: np.ndarray) -> FiniteDistribution:
-    """Exact law of a scalar statistic evaluated over equiprobable outcomes."""
-    values = np.asarray(values)
-    weights = {}
-    for v in values:
-        weights[float(v)] = weights.get(float(v), 0) + 1
-    return from_weights(weights)
-
-
 def exact_moments(count_matrix: np.ndarray):
     """Exact mean vector and covariance matrix over equiprobable outcomes."""
     x = count_matrix.astype(float)

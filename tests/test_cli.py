@@ -306,12 +306,20 @@ class TestArgumentErrors:
         (("gnm", "--n", "1000", "--m", "1000", "--max-k", "18"), "k = 18 expects"),
         (("alloc", "--n", "1370", "--m", "1370", "--max-k", "7"),
          "R n pi_k(lambda_n) = 19.9998"),
+        # the finite-n count is a point mass: its sample variance is 0
+        (("gnp", "--n", "3", "--p", "0.5", "--max-k", "3"), "k = 3: the count takes one value"),
+        (("gnm", "--n", "6", "--m", "4", "--max-k", "5"), "k = 5: the count takes one value"),
+        (("gnm", "--n", "2", "--m", "1", "--max-k", "1"), "k = 0: the count takes one value"),
+        (("gnm", "--n", "3", "--m", "2", "--max-k", "2"), "k = 0: the count takes one value"),
+        (("gnp", "--n", "1", "--p", "0.5", "--max-k", "1"), "k = 0: the count takes one value"),
+        (("alloc", "--n", "2", "--m", "1", "--max-k", "1"), "k = 0: the count takes one value"),
     ], ids=["n-zero", "m-negative", "p-above-one", "a-zero", "max-k-negative",
             "seed-negative", "alloc-no-balls", "gnm-no-edges", "gnp-p-zero",
             "a-underflows", "a-infinite", "a-no-exceedances", "a-huge", "a-tiny",
             "max-k-past-index", "max-k-huge", "gnm-max-k-past-index", "gnp-tiny-lambda",
             "lambda-no-index", "max-k-never-counted", "gnm-max-k-never-counted",
-            "max-k-below-count-bound"])
+            "max-k-below-count-bound", "gnp-degree-past-n", "gnm-degree-past-m",
+            "gnm-one-edge", "gnm-complete-less-one", "gnp-one-vertex", "alloc-one-ball"])
     def test_bad_parameter_is_config_error(self, argv, message, capsys, monkeypatch):
         # rejected before anything is allocated or run
         monkeypatch.setattr(mc_engine, "run_experiment", None)
@@ -320,6 +328,21 @@ class TestArgumentErrors:
         captured = capsys.readouterr()
         assert message in captured.err
         assert "PASS" not in captured.out and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("model,sizes,enumerate_counts", [
+        ("alloc", [(n, m) for n in range(1, 5) for m in range(1, 7)],
+         monotone.enumerate_allocation_counts),
+        ("gnm", [(n, m) for n in range(2, 7) for m in range(1, n * (n - 1) // 2 + 1)],
+         monotone.enumerate_gnm_degree_counts),
+    ], ids=["alloc", "gnm"])
+    def test_point_mass_rule_matches_enumeration(self, model, sizes, enumerate_counts):
+        # the rule flags k exactly where column k of the exhaustive enumeration
+        # takes one value
+        for n, m in sizes:
+            counts = enumerate_counts(n, m)
+            fixed = [k for k in range(counts.shape[1]) if np.all(counts[:, k] == counts[0, k])]
+            params = {"n": n, "m": m, "max_k": counts.shape[1] - 1}
+            assert cli._point_mass_ks(model, params) == fixed, (n, m)
 
     @pytest.mark.parametrize("argv", [
         # the truncation index, at an n where R n pi_k is far above 20

@@ -110,45 +110,6 @@ class TestResidualVariance:
         assert 0.0 <= out <= sx2 + 1e-12
 
 
-class TestConjugateByTransform:
-    def _alloc_joint(self, lam=2.0, j_max=5):
-        pis = np.array([lt.poisson_pmf(lam, k) for k in range(j_max + 1)])
-        d = j_max + 2
-        cov = np.empty((d, d))
-        cov[:-1, :-1] = np.diag(pis) - np.outer(pis, pis)
-        ks = np.arange(j_max + 1)
-        cov[:-1, -1] = cov[-1, :-1] = pis * (ks - lam)
-        cov[-1, -1] = lam
-        return gc.JointGaussian(j_max + 1, 1, np.zeros(d), cov)
-
-    def test_identity_transform(self):
-        jg = self._alloc_joint()
-        direct = gc.condition_on_vector(jg, 0.0)
-        via = gc.conjugate_by_transform(np.eye(jg.q), jg, 0.0)
-        assert via.cov == pytest.approx(direct.cov, abs=1e-12)
-        assert via.mean == pytest.approx(direct.mean, abs=1e-12)
-
-    def test_cumulative_sum_transform(self):
-        jg = self._alloc_joint()
-        t = np.tril(np.ones((jg.q, jg.q)))
-        direct = gc.condition_on_vector(jg, 0.0)
-        via = gc.conjugate_by_transform(t, jg, 0.0)
-        assert np.abs(via.cov - direct.cov).max() < 1e-10
-        assert np.abs(via.mean - direct.mean).max() < 1e-10
-
-    def test_scaling_invariance(self):
-        jg = self._alloc_joint()
-        t = 2.0 * np.eye(jg.q)
-        direct = gc.condition_on_vector(jg, 0.0)
-        via = gc.conjugate_by_transform(t, jg, 0.0)
-        assert np.abs(via.cov - direct.cov).max() < 1e-12
-
-    def test_singular_transform(self):
-        jg = self._alloc_joint()
-        with pytest.raises(CondCltError, match="T condition number"):
-            gc.conjugate_by_transform(np.zeros((jg.q, jg.q)), jg, 0.0)
-
-
 class TestConditionalGaussianPsd:
     def test_psd_cov_is_kept(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
