@@ -3,7 +3,7 @@
 One experiment per invocation; reports are written as a JSON document
 (structured format) and optionally as a flat CSV table.  Exit codes:
 0 = all gates passed, 1 = a gate failed, 2 = configuration error,
-3 = internal numeric error or I/O failure.
+3 = internal numeric error, I/O failure or out of memory.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -29,6 +30,9 @@ EXIT_NUMERIC_ERROR = 3
 TABLE_HEADER = ["experiment", "entry_i", "entry_j", "theory", "estimate", "stderr", "z"]
 CHECK_TABLE_HEADER = ["experiment", "name", "value", "bound", "passed"]
 MIN_TOTAL_COUNT = 20        # fewest expected counts of a marginal over all replicates
+# transfer builds (K+1)^2 matrices and conditions them in O(K^3): K = 2000 takes
+# about 2.5 s and 250 MiB, and covers the truncation index of every lam up to ~1700
+MAX_TRANSFER_K = 2000
 
 
 class ConfigError(Exception):
@@ -79,10 +83,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             p.set_defaults(**{dest: config[dest]})
 
     def common(p, sampling=True):
-        arg(p, "--seed", type=int, default=0, help="master RNG seed (default 0)")
         arg(p, "--out", help="JSON report path")
         arg(p, "--table", help="CSV comparison table path")
         if sampling:
+            arg(p, "--seed", type=int, default=0, help="master RNG seed (default 0)")
             arg(p, "--reps", type=int, default=1000,
                 help="Monte Carlo replicates (default 1000)")
             arg(p, "--z-gate", type=float, default=mc_engine.DEFAULT_Z_GATE,
@@ -126,9 +130,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     arg(p, "--max-m", type=int, default=8)
     common(p, sampling=False)
 
-    p = sub.add_parser("cwold", help="characteristic-function octant scan")
-    arg(p, "--grid", type=float, default=cwold.DEFAULT_GRID_STEP)
-    arg(p, "--T", type=float, default=cwold.DEFAULT_GRID_EXTENT)
+    p = sub.add_parser("cwold", help="exact characteristic-function quadrant decision")
     common(p, sampling=False)
 
     for key in config:
@@ -148,18 +150,12 @@ def _theory_for(model: str, args) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros(args.max_k + 1), mat
 
 
-def _sampling_params(args) -> dict:
-    model = args.experiment
-    params = {"n": args.n}
-    if model == "alloc" or model == "gnm":
-        params["m"] = args.m
-        params["max_k"] = args.max_k
-    elif model == "gnp":
-        params["p"] = args.p
-        params["max_k"] = args.max_k
-    else:
-        params["a"] = args.a
-    return params
+def _params(args) -> dict:
+    """The report's params: the experiment's own options, by dest."""
+    names = {"alloc": ("n", "m", "max_k"), "gnm": ("n", "m", "max_k"),
+             "gnp": ("n", "p", "max_k"), "spacings": ("n", "a"), "transfer": ("lam", "K"),
+             "monotone": ("n", "max_m"), "cwold": ()}[args.experiment]
+    return {name: getattr(args, name) for name in names}
 
 
 def _point_mass_ks(model: str, params: dict) -> list[int]:
@@ -185,7 +181,7 @@ def check_args(args) -> None:
     truncation index), arguments the chosen experiment cannot run with, before
     anything runs or is allocated."""
     if args.experiment in mc_engine.EXPERIMENT_MODELS:
-        params = _sampling_params(args)
+        params = _params(args)
         mc_engine.check_params(args.experiment, params, args.seed)
         if args.experiment == "spacings":
             # e^-a underflows to 0 for a >= 746 (and rounds to 1 for tiny a): the
@@ -241,20 +237,15 @@ def check_args(args) -> None:
         if not 0.0 < args.lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {args.lam}")
         k_min = limit_theory.truncation_index(args.lam)
-        if args.K < k_min:
+        if not k_min <= args.K <= MAX_TRANSFER_K:
             raise ValueError(f"K must be >= {k_min}, where the Poisson({args.lam}) tail "
-                             f"mass falls below {limit_theory.TAIL_MASS_GATE:g}; got {args.K}")
+                             f"mass falls below {limit_theory.TAIL_MASS_GATE:g}, and at most "
+                             f"{MAX_TRANSFER_K}; got {args.K}")
     elif args.experiment == "monotone":
         if not 2 <= args.n <= monotone.DESK_MAX_N:
             raise ValueError(f"n must be in [2, {monotone.DESK_MAX_N}], got {args.n}")
         if not 1 <= args.max_m <= monotone.DESK_MAX_M:
             raise ValueError(f"max_m must be in [1, {monotone.DESK_MAX_M}], got {args.max_m}")
-    elif not (0.0 < args.grid < math.inf and 0.0 < args.T < math.inf):
-        raise ValueError(f"grid and T must be positive and finite, got grid={args.grid}, "
-                         f"T={args.T}")
-    elif 2.0 * args.T / args.grid + 1.0 > cwold.MAX_GRID_POINTS:
-        raise ValueError(f"the scan may have at most {cwold.MAX_GRID_POINTS} points per axis "
-                         f"(2T/grid + 1), got grid={args.grid}, T={args.T}")
 
 
 def _run_sampling_experiment(args, params: dict) -> mc_engine.VerificationReport:
@@ -289,16 +280,19 @@ def _monotone_checks(args) -> list[tuple]:
 
 
 def _cwold_checks(args) -> list[tuple]:
+    """The canonical pair, decided exactly: equal on the closed quadrant,
+    |phi_X - phi_Y| = 1/5 at (-3/5, 3/5), and unequal off the quadrant.  Values
+    and bounds are exact fractions, written as strings."""
     cf_x, cf_y = cwold.canonical_pair()
-    octant_max, _ = cwold.octant_equality_scan(cf_x, cf_y, h=args.grid, extent=args.T)
-    point_diff = abs(cwold.eval_cf(cf_x, (-0.6, 0.6)) - cwold.eval_cf(cf_y, (-0.6, 0.6)))
-    point_err = abs(float(point_diff) - 0.2)
-    _, witness_diff = cwold.counterexample_witness(cf_x, cf_y, h=args.grid, extent=args.T)
-    return [("octant max |phi_X - phi_Y| < bound", octant_max, 1e-12, octant_max < 1e-12),
-            ("| |phi_X - phi_Y|(-0.6, 0.6) - 0.2 | < bound", point_err, 1e-12,
-             point_err < 1e-12),
-            ("off-octant max |phi_X - phi_Y| >= bound", witness_diff, 0.19,
-             witness_diff >= 0.19)]
+    quadrant, off = cwold.quadrant_decision(cf_x, cf_y)
+    point = abs(cwold.exact_difference(cf_x, cf_y, Fraction(-3, 5), Fraction(3, 5)))
+    inside, outside = (abs(w[1]) if w else Fraction(0) for w in (quadrant, off))
+    at = [f" (at ({w[0][0]}, {w[0][1]}))" if w else "" for w in (quadrant, off)]
+    return [(f"|phi_X - phi_Y| on the closed quadrant{at[0]} = bound", str(inside), "0",
+             inside == 0),
+            ("|phi_X - phi_Y|(-3/5, 3/5) = bound", str(point), "1/5", point == Fraction(1, 5)),
+            (f"max |phi_X - phi_Y| off the quadrant{at[1]} > bound", str(outside), "0",
+             outside > 0)]
 
 
 def _run_analytic(args, params: dict, checks_for) -> mc_engine.VerificationReport:
@@ -308,7 +302,7 @@ def _run_analytic(args, params: dict, checks_for) -> mc_engine.VerificationRepor
     checks = [{"name": name, "value": value, "bound": bound, "passed": bool(passed)}
               for name, value, bound, passed in checks_for(args)]
     return mc_engine.VerificationReport(
-        experiment=args.experiment, params=params, seed=args.seed, z_gate=0.0,
+        experiment=args.experiment, params=params, seed=None, z_gate=0.0,
         ks_gate=0.0, checks=checks, passed=all(c["passed"] for c in checks),
         wall_time=time.perf_counter() - start)
 
@@ -378,25 +372,26 @@ def main(argv=None) -> int:
 
     try:
         if args.experiment in mc_engine.EXPERIMENT_MODELS:
-            report = _run_sampling_experiment(args, _sampling_params(args))
-        elif args.experiment == "transfer":
-            report = _run_analytic(args, {"lam": args.lam, "K": args.K}, _transfer_checks)
-        elif args.experiment == "monotone":
-            report = _run_analytic(args, {"n": args.n, "max_m": args.max_m},
-                                   _monotone_checks)
+            report = _run_sampling_experiment(args, _params(args))
         else:
-            report = _run_analytic(args, {"grid": args.grid, "T": args.T}, _cwold_checks)
+            checks_for = {"transfer": _transfer_checks, "monotone": _monotone_checks,
+                          "cwold": _cwold_checks}[args.experiment]
+            report = _run_analytic(args, _params(args), checks_for)
         report.provenance = {"condclt": __version__, "numpy": np.__version__,
-                             "python": sys.version.split()[0], "seed": args.seed,
+                             "python": sys.version.split()[0], "seed": report.seed,
                              "workers": getattr(args, "workers", 1), "argv": argv}
         emit_report(report, args.out, args.table)
     except (CondCltError, OSError) as exc:
         print(f"condclt: numeric/IO error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
+    except MemoryError as exc:
+        print(f"condclt: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC_ERROR
 
     status = "PASS" if report.passed else "FAIL"
+    seed = "" if report.seed is None else f", seed = {report.seed}"
     print(f"{args.experiment}: {status} ({_summary(report)}, "
-          f"wall = {report.wall_time:.2f}s, seed = {report.seed})")
+          f"wall = {report.wall_time:.2f}s{seed})")
     return EXIT_OK if report.passed else EXIT_GATE_FAILURE
 
 

@@ -7,10 +7,16 @@ mass 1/2 at 0 and 2/(pi^2 (2k+1)^2) at +-(2k+1) pi).  The bivariate node
 PAIR(u, v) has cf (t1, t2) -> phi_u(t1+t2) * phi_v(t1-t2), realizing the
 sum/difference construction whose two instances agree on the closed first
 quadrant yet differ elsewhere.
+
+The base cfs are piecewise linear with rational breakpoints, so
+``quadrant_decision`` decides equality in ``Fraction`` arithmetic; the float
+scans are its reference.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +25,6 @@ from .errors import CondCltError
 
 DEFAULT_GRID_STEP = 0.015
 DEFAULT_GRID_EXTENT = 3.0
-MAX_GRID_POINTS = 2001     # per axis of the [-T, T] scan: 5x the default's 401
-INDISTINGUISHABLE_TOL = 1e-9
 
 
 class CharFnExpr(NamedTuple):
@@ -30,10 +34,6 @@ class CharFnExpr(NamedTuple):
     scale: float = 1.0
     u: "CharFnExpr | None" = None
     v: "CharFnExpr | None" = None
-
-    @property
-    def arity(self) -> int:
-        return 2 if self.kind == "PAIR" else 1
 
 
 def triangular(scale: float = 1.0) -> CharFnExpr:
@@ -45,7 +45,7 @@ def periodic_triangular() -> CharFnExpr:
 
 
 def pair(u: CharFnExpr, v: CharFnExpr) -> CharFnExpr:
-    if u.arity != 1 or v.arity != 1:
+    if "PAIR" in (u.kind, v.kind):
         raise CondCltError("PAIR composes two scalar base cfs")
     return CharFnExpr(kind="PAIR", u=u, v=v)
 
@@ -96,28 +96,6 @@ def octant_equality_scan(cf_x: CharFnExpr, cf_y: CharFnExpr,
     return float(diff[i, j]), (float(ts[i]), float(ts[j]))
 
 
-def counterexample_witness(cf_x: CharFnExpr, cf_y: CharFnExpr,
-                           h: float = DEFAULT_GRID_STEP,
-                           extent: float = DEFAULT_GRID_EXTENT):
-    """Point of maximal |phi_X - phi_Y| over [-T, T]^2 minus the first quadrant.
-
-    Raises CondCltError when the scanned maximum is below 1e-9 (the two
-    cfs are indistinguishable both on and off the quadrant at grid resolution).
-    """
-    if h <= 0 or extent <= 0:
-        raise ValueError("grid step and extent must be positive")
-    ts = np.arange(-extent, extent + h / 2, h)
-    t1, t2 = np.meshgrid(ts, ts, indexing="ij")
-    diff = np.abs(eval_cf(cf_x, (t1, t2)) - eval_cf(cf_y, (t1, t2)))
-    diff[(t1 >= 0.0) & (t2 >= 0.0)] = 0.0
-    flat = int(np.argmax(diff))
-    i, j = np.unravel_index(flat, diff.shape)
-    if diff[i, j] < INDISTINGUISHABLE_TOL:
-        raise CondCltError(f"max off-quadrant difference {diff[i, j]:.3e} below "
-                           f"{INDISTINGUISHABLE_TOL}")
-    return (float(ts[i]), float(ts[j])), float(diff[i, j])
-
-
 def marginal_difference_along(cf_x: CharFnExpr, cf_y: CharFnExpr, direction,
                               s_max: float = 5.0, h: float = 0.01) -> float:
     """Max |phi_X - phi_Y| along the line s -> s * direction, s in [-s_max, s_max]."""
@@ -127,3 +105,74 @@ def marginal_difference_along(cf_x: CharFnExpr, cf_y: CharFnExpr, direction,
     s = np.arange(-s_max, s_max + h / 2, h)
     diff = np.abs(eval_cf(cf_x, (s * c1, s * c2)) - eval_cf(cf_y, (s * c1, s * c2)))
     return float(diff.max())
+
+
+def _exact_scalar(expr: CharFnExpr, t: Fraction) -> Fraction:
+    if expr.kind == "TRIANGULAR":
+        return max(Fraction(0), 1 - abs(t) / Fraction(expr.scale))
+    return 1 - abs((t + 1) % 2 - 1)
+
+
+def exact_difference(cf_x: CharFnExpr, cf_y: CharFnExpr, t1: Fraction,
+                     t2: Fraction) -> Fraction:
+    """phi_X(t1, t2) - phi_Y(t1, t2) of two PAIR cfs, exactly."""
+    return (_exact_scalar(cf_x.u, t1 + t2) * _exact_scalar(cf_x.v, t1 - t2)
+            - _exact_scalar(cf_y.u, t1 + t2) * _exact_scalar(cf_y.v, t1 - t2))
+
+
+def _breaks(bases, lo: Fraction, hi: Fraction) -> list[Fraction]:
+    """lo, hi, 0 and every breakpoint of the base cfs between them, sorted."""
+    points = {lo, hi, Fraction(0)}
+    for b in bases:
+        if b.kind == "TRIANGULAR":
+            points |= {-Fraction(b.scale), Fraction(b.scale)}
+        else:
+            points |= set(map(Fraction, range(math.floor(lo), math.ceil(hi) + 1)))
+    return sorted(x for x in points if lo <= x <= hi)
+
+
+def _wedge_corners(s_grid: list[Fraction], d_grid: list[Fraction]):
+    """For each grid cell that meets the open wedge |d| < s, the corners of a
+    sub-rectangle of that part, all in the closed wedge."""
+    for s0, s1 in zip(s_grid, s_grid[1:]):
+        for d0, d1 in zip(d_grid, d_grid[1:]):
+            low = min(abs(d0), abs(d1))     # 0 is a breakpoint, so |d| >= low on the cell
+            if low < s1:
+                mid = (low + s1) / 2        # |d| <= mid <= s on the sub-rectangle
+                for s in (max(s0, mid), s1):
+                    for d in (max(d0, -mid), min(d1, mid)):
+                        yield s, d
+
+
+def quadrant_decision(cf_x: CharFnExpr, cf_y: CharFnExpr):
+    """Decide phi_X = phi_Y on the closed first quadrant, exactly.
+
+    In s = t1 + t2, d = t1 - t2, f = phi_X - phi_Y is bilinear on each cell of
+    the breakpoint grid, so it vanishes on a cell's part of the quadrant
+    |d| <= s iff it does at the corners of a sub-rectangle there.  The sum
+    factors vanish from s = top on; off the quadrant the difference factors
+    repeat with period 2 past their triangular scales.
+
+    Returns (quadrant, off), each ((t1, t2), f) in Fractions or None: a
+    quadrant point with f != 0, and the grid point off the quadrant with the
+    largest |f|.  With f = 0 on the quadrant, that is max |f| over the plane.
+    """
+    if (cf_x.kind != "PAIR" or cf_y.kind != "PAIR"
+            or "PERIODIC_TRIANGULAR" in (cf_x.u.kind, cf_y.u.kind)):
+        raise CondCltError("the decision takes two PAIR cfs with triangular sum factors")
+    top = max(Fraction(cf_x.u.scale), Fraction(cf_y.u.scale))
+    sums, diffs = (cf_x.u, cf_y.u), (cf_x.v, cf_y.v)
+
+    def point(s, d):
+        t1, t2 = (s + d) / 2, (s - d) / 2
+        return (t1, t2), exact_difference(cf_x, cf_y, t1, t2)
+
+    s_grid, d_grid = _breaks(sums, Fraction(0), top), _breaks(diffs, -top, top)
+    corners = (point(s, d) for s, d in _wedge_corners(s_grid, d_grid))
+    quadrant = next((c for c in corners if c[1]), None)
+    reach = max([top] + [Fraction(b.scale) for b in diffs if b.kind == "TRIANGULAR"]) + 2
+    # d descending, so that of two mirror points the one with t1 > t2 comes first
+    off = max((point(s, d) for s in _breaks(sums, -top, top)
+               for d in reversed(_breaks(diffs, -reach, reach)) if abs(d) > s),
+              key=lambda c: abs(c[1]))
+    return quadrant, off if off[1] else None

@@ -27,6 +27,7 @@ DEFAULT_N_BATCHES = 20
 MIN_REPS = 100              # fewest replicates compare_to_theory accepts
 KS_MIN_REPS = 1000          # fewest samples normality_distance accepts
 STREAM_BLOCK = 1024         # replicate streams derived together
+MAX_GRAPH_N = 1_518_500_250     # largest n with (2n-1)^2 < 2**63; C(n,2) is smaller
 # glibc gives the top of its heap back to the kernel once more than twice its
 # mmap threshold lies free there, so each replicate with megabyte-sized arrays
 # faulted its pages in anew (798 minor faults per gnm replicate at
@@ -175,6 +176,10 @@ def check_params(model: str, params: dict, seed: int) -> None:
         raise ValueError(f"m must be >= 0, got {params['m']}")
     if model == "gnm" and params["m"] > n * (n - 1) // 2:
         raise ValueError(f"m = {params['m']} exceeds C(n,2) = {n * (n - 1) // 2}")
+    # the edge draw and its decode hold C(n,2) and (2n-1)^2 in int64
+    if model in ("gnm", "gnp") and n > MAX_GRAPH_N:
+        raise ValueError(f"n must be at most {MAX_GRAPH_N}, where (2n-1)^2 still fits in "
+                         f"int64, got {n}")
     if model == "gnp" and not 0.0 <= params["p"] <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {params['p']}")
     if model == "spacings" and not params["a"] > 0.0:

@@ -9,67 +9,41 @@ in integer arithmetic, with no tolerance.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import CondCltError
 
-CDF_TOL = 1e-12             # how far float probs may sum from 1
 DESK_MAX_N = 8              # exact_empty_box_law's range: n <= 8, m <= 12
 DESK_MAX_M = 12
 
 
 class FiniteDistribution:
-    """Finitely supported distribution with strictly increasing support.
+    """Finitely supported law: a strictly increasing support and non-negative
+    integer weights, not all 0; the mass at ``support[i]`` is
+    ``weights[i] / total``."""
 
-    ``weights`` are the exact masses, integers over their sum ``total``.
-    Without them they are the exact binary values of ``probs`` over a common
-    power of two; given, ``probs`` must be their correctly rounded ratios.
-    """
-
-    def __init__(self, support, probs, weights: tuple[int, ...] | None = None):
-        support = np.asarray(support, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        if not (support.ndim == probs.ndim == 1 and len(support) == len(probs)):
-            raise ValueError("support and probs must be 1-D arrays of equal length")
-        if not np.all(np.diff(support) > 0):
+    def __init__(self, support, weights):
+        self.support = tuple(float(x) for x in support)
+        self.weights = tuple(weights)
+        if len(self.support) != len(self.weights):
+            raise ValueError("support and weights must have equal length")
+        if not all(a < b for a, b in zip(self.support, self.support[1:])):
             raise ValueError("support must be strictly increasing")
-        if not np.all(probs >= 0):
-            raise ValueError("probs must be non-negative")
-        if not abs(probs.sum() - 1.0) <= CDF_TOL:
-            raise ValueError(f"probs sum to {probs.sum()!r}, not 1")
-        if weights is None:
-            ratios = [p.as_integer_ratio() for p in probs.tolist()]
-            scale = max(d for _, d in ratios)
-            weights = tuple(n * (scale // d) for n, d in ratios)
-        else:
-            weights = tuple(weights)
-            if not all(type(w) is int and w >= 0 for w in weights) or not any(weights):
-                raise ValueError("weights must be non-negative ints, not all 0")
-            total = sum(weights)
-            if probs.tolist() != [w / total for w in weights]:
-                raise ValueError("probs are not the float values of weights / sum(weights)")
-        self.support = support
-        self.probs = probs
-        self.weights = weights
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights)
+        if not all(type(w) is int and w >= 0 for w in self.weights) or not any(self.weights):
+            raise ValueError("weights must be non-negative ints, not all 0")
+        self.total = sum(self.weights)
 
 
-def from_weights(pairs: dict[float, int | Fraction]) -> FiniteDistribution:
-    """The law of an exact value -> weight map (ints or Fractions, on any
-    common scale), with the weights as integers over their common denominator."""
-    support = sorted(x for x, w in pairs.items() if w > 0)
-    scale = math.lcm(*(pairs[x].denominator for x in support))
-    weights = [pairs[x].numerator * (scale // pairs[x].denominator) for x in support]
-    total = sum(weights)
-    return FiniteDistribution(np.array(support, dtype=float),
-                              np.array([w / total for w in weights]), tuple(weights))
+def from_weights(pairs: dict[float, int]) -> FiniteDistribution:
+    """The law of a value -> integer weight map, without its zero weights."""
+    support = sorted(x for x, w in pairs.items() if w)
+    return FiniteDistribution(support, [pairs[x] for x in support])
 
 
 def surjection_count(m: int, b: int) -> int:
@@ -96,8 +70,8 @@ def check_stochastic_dominance(d1: FiniteDistribution, d2: FiniteDistribution):
     or below x; on failure the first witnessing x is returned.
     """
     t1, t2 = d1.total, d2.total
-    w1 = dict(zip(d1.support.tolist(), d1.weights))
-    w2 = dict(zip(d2.support.tolist(), d2.weights))
+    w1 = dict(zip(d1.support, d1.weights))
+    w2 = dict(zip(d2.support, d2.weights))
     c1 = c2 = 0
     for x in sorted(w1.keys() | w2.keys()):
         c1 += w1.get(x, 0)
@@ -116,27 +90,14 @@ def quantile_coupling(d1: FiniteDistribution, d2: FiniteDistribution):
     ok, witness = check_stochastic_dominance(d1, d2)
     if not ok:
         raise CondCltError(f"dominance fails at x = {witness}")
-    t1, t2 = d1.total, d2.total
-    # both laws on the common scale t1 * t2, so every mass is an integer
-    w1 = [w * t2 for w in d1.weights]
-    w2 = [w * t1 for w in d2.weights]
-    xs1, xs2 = d1.support.tolist(), d2.support.tolist()
-    atoms = []
-    i = j = 0
-    r1, r2 = w1[0], w2[0]
-    while i < len(w1) and j < len(w2):
-        p = min(r1, r2)
-        if p:
-            atoms.append((xs1[i], xs2[j], Fraction(p, t1 * t2)))
-        r1 -= p
-        r2 -= p
-        if not r1:
-            i += 1
-            r1 = w1[i] if i < len(w1) else 0
-        if not r2:
-            j += 1
-            r2 = w2[j] if j < len(w2) else 0
-    return atoms
+    # the CDFs on the common scale t1 * t2, where every mass is an integer; an
+    # atom for each step between consecutive values either CDF takes
+    scale = d1.total * d2.total
+    cdf1 = list(itertools.accumulate(w * d2.total for w in d1.weights))
+    cdf2 = list(itertools.accumulate(w * d1.total for w in d2.weights))
+    cuts = sorted((set(cdf1) | set(cdf2)) - {0})
+    return [(d1.support[bisect.bisect_left(cdf1, b)], d2.support[bisect.bisect_left(cdf2, b)],
+             Fraction(b - a, scale)) for a, b in zip([0] + cuts, cuts)]
 
 
 # -- desk-scale exhaustive enumeration oracles ---------------------------------
@@ -169,50 +130,33 @@ def enumerate_gnm_degree_counts(n: int, m: int):
     return np.array(rows, dtype=np.int64)
 
 
-def _compositions(total: int, parts: int):
-    """All orderings of total balls into parts boxes (weak compositions)."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def allocation_count_law(n: int, m: int) -> dict[tuple, Fraction]:
-    """Exact law of the occupancy count vector (counts[j] = boxes with j balls)
-    via multinomial weights over compositions; scales far beyond n^m."""
+def allocation_count_law(n: int, m: int) -> dict[tuple, int]:
+    """Exact law of the occupancy count vector (counts[j] = boxes with j balls):
+    how many of the n^m throws give each vector, as multinomial weights summed
+    over compositions; scales far beyond n^m."""
     if math.comb(m + n - 1, n - 1) > 200_000:
         raise CondCltError("too many compositions to enumerate")
-    law: dict[tuple, Fraction] = {}
-    denom = n**m
-    m_fact = math.factorial(m)
-    for occ in _compositions(m, n):
-        weight = Fraction(m_fact, denom)
+    law = Counter()
+    for bars in itertools.combinations(range(m + n - 1), n - 1):   # stars and bars
+        occ = [b - a - 1 for a, b in zip((-1, *bars), (*bars, m + n - 1))]
+        weight = math.factorial(m)
         for c in occ:
-            weight /= math.factorial(c)
-        key = tuple(np.bincount(np.array(occ, dtype=np.int64), minlength=m + 1)[: m + 1])
-        law[key] = law.get(key, Fraction(0)) + weight
+            weight //= math.factorial(c)    # every partial quotient is an integer
+        law[tuple(map(occ.count, range(m + 1)))] += weight
     return law
 
 
-def gnm_count_law(n: int, m: int) -> dict[tuple, Fraction]:
-    """Exact law of the degree count vector of a uniform m-edge graph."""
-    rows = enumerate_gnm_degree_counts(n, m)
-    total = len(rows)
-    law: dict[tuple, Fraction] = {}
-    for row in rows:
-        key = tuple(int(v) for v in row)
-        law[key] = law.get(key, Fraction(0)) + Fraction(1, total)
-    return law
+def gnm_count_law(n: int, m: int) -> dict[tuple, int]:
+    """Exact law of the degree count vector of a uniform m-edge graph: how many
+    of the C(C(n,2), m) graphs give each vector."""
+    return Counter(map(tuple, enumerate_gnm_degree_counts(n, m).tolist()))
 
 
-def functional_law(law: dict[tuple, Fraction], fn) -> FiniteDistribution:
+def functional_law(law: dict[tuple, int], fn) -> FiniteDistribution:
     """Exact law of a scalar functional of the count vector."""
-    weights: dict[float, Fraction] = {}
+    weights = Counter()
     for key, w in law.items():
-        v = float(fn(np.array(key)))
-        weights[v] = weights.get(v, Fraction(0)) + w
+        weights[float(fn(np.array(key)))] += w
     return from_weights(weights)
 
 

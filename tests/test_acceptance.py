@@ -8,6 +8,7 @@ the whole suite is deterministic.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,11 +189,20 @@ def test_criterion_9_cramer_wold_bench():
     diff = abs(float(cwold.eval_cf(cf_x, point)[0] - cwold.eval_cf(cf_y, point)[0]))
     d_contrast = cwold.marginal_difference_along(cf_x, cf_y, (1.0, -1.0))
     d_agree = cwold.marginal_difference_along(cf_x, cf_y, (1.0, 1.0))
+    # the same claims decided exactly: equal on the quadrant, 1/5 at
+    # (-3/5, 3/5), and the largest difference, 1, off it at (1, -1)
+    quadrant, off = cwold.quadrant_decision(cf_x, cf_y)
+    exact_diff = cwold.exact_difference(cf_x, cf_y, Fraction(-3, 5), Fraction(3, 5))
     elapsed = time.perf_counter() - start
     ok = (octant_max < 1e-12 and abs(diff - 0.2) < 1e-12
-          and d_contrast >= 0.19 and d_agree < 1e-14 and elapsed < 1.0)
+          and d_contrast >= 0.19 and d_agree < 1e-14 and elapsed < 1.0
+          and quadrant is None and abs(exact_diff) == Fraction(1, 5)
+          and off == ((1, -1), -1))
+    off_text = "none" if off is None else f"{off[1]} at ({off[0][0]}, {off[0][1]})"
     assert report(9, ok, f"octant {octant_max:.1e}, point diff {diff:.3f}, "
-                         f"(1,-1) {d_contrast:.3f}, (1,1) {d_agree:.1e}")
+                         f"(1,-1) {d_contrast:.3f}, (1,1) {d_agree:.1e}; exact: quadrant "
+                         f"{'equal' if quadrant is None else 'unequal'}, point {exact_diff}, "
+                         f"off {off_text}")
 
 
 def test_criterion_10_moment_convergence(gnm_run):

@@ -45,6 +45,17 @@ class TestAnalyticSubcommands:
         assert run_cli("cwold") == cli.EXIT_OK
         assert "cwold: PASS" in capsys.readouterr().out
 
+    def test_cwold_report_holds_exact_values(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli("cwold", "--out", str(out)) == cli.EXIT_OK
+        assert re.fullmatch(r"cwold: PASS \(3/3 checks passed, wall = \S+s\)\n",
+                            capsys.readouterr().out)
+        report = cli.parse_report(str(out))
+        assert [(c["value"], c["bound"]) for c in report.checks] == [
+            ("0", "0"), ("1/5", "1/5"), ("1", "0")]
+        assert report.checks[2]["name"].endswith("at (1, -1)) > bound")
+        assert report.params == {} and report.seed is None
+
     @pytest.mark.parametrize("argv", [("cwold",), ("monotone", "--n", "3", "--max-m", "4")],
                              ids=["cwold", "monotone"])
     def test_table_holds_one_row_per_check(self, argv, tmp_path):
@@ -56,8 +67,8 @@ class TestAnalyticSubcommands:
         assert rows[0] == cli.CHECK_TABLE_HEADER
         assert len(checks) == len(rows) - 1 > 1
         for row, check in zip(rows[1:], checks):
-            value = "" if check["value"] is None else repr(check["value"])
-            bound = "" if check["bound"] is None else repr(check["bound"])
+            value = "" if check["value"] is None else str(check["value"])
+            bound = "" if check["bound"] is None else str(check["bound"])
             assert row == [argv[0], check["name"], value, bound, "True"]
 
 
@@ -194,6 +205,7 @@ class TestSamplingSubcommands:
         assert report.timings == {}
         assert report.provenance["argv"] == ["transfer", "--out", str(out)]
         assert report.provenance["workers"] == 1
+        assert report.seed is None and report.provenance["seed"] is None
 
 
 class TestImports:
@@ -270,6 +282,16 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self):
         assert run_cli("frobnicate") == cli.EXIT_CONFIG_ERROR
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch):
+        def run_experiment(*args, **kwargs):
+            raise MemoryError("Unable to allocate 728. TiB")
+        monkeypatch.setattr(mc_engine, "run_experiment", run_experiment)
+        code = run_cli("alloc", "--n", "100", "--m", "100", "--reps", "200")
+        assert code == cli.EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert "condclt: out of memory: Unable to allocate" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_too_many_edges_is_config_error(self, capsys):
         # m exceeding C(n,2) is rejected before any replicate, not a traceback.
         code = run_cli("gnm", "--n", "4", "--m", "100", "--reps", "200")
@@ -313,13 +335,19 @@ class TestArgumentErrors:
         (("gnm", "--n", "3", "--m", "2", "--max-k", "2"), "k = 0: the count takes one value"),
         (("gnp", "--n", "1", "--p", "0.5", "--max-k", "1"), "k = 0: the count takes one value"),
         (("alloc", "--n", "2", "--m", "1", "--max-k", "1"), "k = 0: the count takes one value"),
+        # C(n,2) or (2n-1)^2 past int64
+        (("gnm", "--n", "10000000000", "--m", "2", "--max-k", "1"),
+         "n must be at most 1518500250"),
+        (("gnp", "--n", "1518500251", "--p", "1e-9", "--max-k", "1"),
+         "n must be at most 1518500250"),
     ], ids=["n-zero", "m-negative", "p-above-one", "a-zero", "max-k-negative",
             "seed-negative", "alloc-no-balls", "gnm-no-edges", "gnp-p-zero",
             "a-underflows", "a-infinite", "a-no-exceedances", "a-huge", "a-tiny",
             "max-k-past-index", "max-k-huge", "gnm-max-k-past-index", "gnp-tiny-lambda",
             "lambda-no-index", "max-k-never-counted", "gnm-max-k-never-counted",
             "max-k-below-count-bound", "gnp-degree-past-n", "gnm-degree-past-m",
-            "gnm-one-edge", "gnm-complete-less-one", "gnp-one-vertex", "alloc-one-ball"])
+            "gnm-one-edge", "gnm-complete-less-one", "gnp-one-vertex", "alloc-one-ball",
+            "gnm-n-huge", "gnp-n-past-int64"])
     def test_bad_parameter_is_config_error(self, argv, message, capsys, monkeypatch):
         # rejected before anything is allocated or run
         monkeypatch.setattr(mc_engine, "run_experiment", None)
@@ -347,8 +375,9 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         # the truncation index, at an n where R n pi_k is far above 20
         ("alloc", "--n", "1000000000000", "--m", "1000000000000", "--max-k", "14"),
-        ("gnm", "--n", "1000000000000", "--m", "1000000000000", "--max-k", "18"),
-        ("gnp", "--n", "10000000000", "--p", "2e-13", "--max-k", "3"),
+        # the largest graph n
+        ("gnm", "--n", "1518500250", "--m", "1518500250", "--max-k", "8"),
+        ("gnp", "--n", "1518500250", "--p", "1e-9", "--max-k", "3"),
         ("spacings", "--n", "100", "--a", "4.6"),       # n e^-a = 1.005
         ("spacings", "--n", "100", "--a", "0.0101"),    # n (1 - e^-a) = 1.005
         ("alloc", "--n", "1371", "--m", "1371", "--max-k", "7"),  # R n pi_7 = 20.01
@@ -375,14 +404,17 @@ class TestArgumentErrors:
         assert cli.parse_report(str(out)).provenance["workers"] == 1
 
     @pytest.mark.parametrize("argv,message", [
-        (("cwold", "--grid", "0"), "grid and T must be positive"),
-        (("cwold", "--T", "-1"), "grid and T must be positive"),
-        (("cwold", "--T", "inf"), "grid and T must be positive and finite"),
-        (("cwold", "--grid", "inf"), "grid and T must be positive and finite"),
-        (("cwold", "--T", "1e308"), "at most 2001 points per axis"),
-        (("cwold", "--grid", "1e-300"), "at most 2001 points per axis"),
+        # the exact decision has no grid: the old scan flags are unknown
+        (("cwold", "--grid", "0"), "unrecognized arguments: --grid 0"),
+        (("cwold", "--T", "-1"), "unrecognized arguments: --T -1"),
+        (("cwold", "--T", "inf"), "unrecognized arguments: --T inf"),
+        (("cwold", "--grid", "inf"), "unrecognized arguments: --grid inf"),
+        (("cwold", "--T", "1e308"), "unrecognized arguments: --T 1e308"),
+        (("cwold", "--grid", "1e-300"), "unrecognized arguments: --grid 1e-300"),
         (("transfer", "--lam", "0"), "lam must be positive"),
         (("transfer", "--K", "3"), "K must be >= 18"),
+        (("transfer", "--K", "10000000"), "and at most 2000; got 10000000"),
+        (("transfer", "--seed", "1"), "unrecognized arguments: --seed 1"),
         (("monotone", "--n", "9"), "n must be in [2, 8]"),
         (("monotone", "--n", "1"), "n must be in [2, 8]"),
         (("monotone", "--max-m", "0"), "max_m must be in [1, 12]"),
@@ -395,7 +427,7 @@ class TestArgumentErrors:
            "ks_gate must be positive and finite and below 1")
           for value in ("1", "2")],
     ], ids=["grid-zero", "T-negative", "T-infinite", "grid-infinite", "T-huge", "grid-tiny",
-            "lam-zero", "K-below-truncation", "monotone-n-nine",
+            "lam-zero", "K-below-truncation", "K-huge", "transfer-seed", "monotone-n-nine",
             "monotone-n-one", "max-m-zero", "reps-one", "reps-fifty",
             *[f"{gate}-{value}" for gate in ("z-gate", "ks-gate")
               for value in ("nan", "inf", "zero", "negative")],

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,9 +106,10 @@ class TestQuadrantAgreement:
 class TestCounterexampleWitness:
     def test_canonical_witness(self):
         x, y = cwold.canonical_pair()
-        (t1, t2), diff = cwold.counterexample_witness(x, y)
-        assert diff >= 0.19
-        assert t1 < 0.0 or t2 < 0.0
+        quadrant, ((t1, t2), diff) = cwold.quadrant_decision(x, y)
+        assert quadrant is None
+        assert ((t1, t2), diff) == ((1, -1), -1)
+        assert cwold.eval_cf(x, (1.0, -1.0)) - cwold.eval_cf(y, (1.0, -1.0)) == -1.0
 
     def test_specific_point_value(self):
         x, y = cwold.canonical_pair()
@@ -120,10 +123,9 @@ class TestCounterexampleWitness:
         b = cwold.eval_cf(y, (np.array([0.6]), np.array([-0.6])))[0]
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_identical_raises(self):
+    def test_identical_pair_is_equal_everywhere(self):
         x, _ = cwold.canonical_pair()
-        with pytest.raises(CondCltError, match="max off-quadrant difference"):
-            cwold.counterexample_witness(x, x)
+        assert cwold.quadrant_decision(x, x) == (None, None)
 
 
 class TestMarginalDirections:
@@ -172,4 +174,46 @@ class TestScanTable:
         with pytest.raises(ValueError):
             cwold.octant_equality_scan(x, y, h=0.0)
         with pytest.raises(ValueError):
-            cwold.counterexample_witness(x, y, extent=-1.0)
+            cwold.octant_equality_scan(x, y, extent=-1.0)
+
+
+# (X, Y, equal on the quadrant): the canonical pair, a rescaled difference
+# factor, and pairs with other sum-factor scales
+TRI, PER = cwold.triangular, cwold.periodic_triangular
+PAIRS = [
+    (*cwold.canonical_pair(), True),
+    (cwold.pair(TRI(), TRI()), cwold.pair(TRI(), TRI(scale=2.0)), False),
+    (cwold.pair(TRI(2.0), TRI()), cwold.pair(TRI(2.0), PER()), False),
+    (cwold.pair(TRI(0.5), TRI()), cwold.pair(TRI(0.5), PER()), True),
+    (cwold.pair(TRI(0.25), TRI(3.0)), cwold.pair(TRI(0.5), TRI(3.0)), False),
+]
+
+
+class TestExactDecision:
+    def test_canonical_pair(self):
+        x, y = cwold.canonical_pair()
+        assert cwold.exact_difference(x, y, Fraction(-3, 5), Fraction(3, 5)) == Fraction(-1, 5)
+        # the float scan along t1 = -t2 reaches the exact off-quadrant maximum, 1
+        assert cwold.marginal_difference_along(x, y, (1.0, -1.0)) == pytest.approx(1.0,
+                                                                                    abs=1e-9)
+
+    @pytest.mark.parametrize("x,y,equal", PAIRS)
+    def test_agrees_with_float_scans(self, x, y, equal):
+        quadrant, off = cwold.quadrant_decision(x, y)
+        octant_max, _ = cwold.octant_equality_scan(x, y)
+        assert (quadrant is None) == equal == (octant_max < 1e-12)
+        for point, diff in filter(None, (quadrant, off)):
+            t = tuple(map(float, point))
+            assert cwold.eval_cf(x, t) - cwold.eval_cf(y, t) == pytest.approx(float(diff),
+                                                                              abs=1e-15)
+        assert (quadrant is None or min(quadrant[0]) >= 0) and min(off[0]) < 0
+        if equal:
+            # off the quadrant no float scan exceeds the exact maximum
+            along = max(cwold.marginal_difference_along(x, y, c)
+                        for c in [(1.0, -1.0), (1.0, -0.5), (-0.3, 1.0)])
+            assert along <= abs(off[1]) + 1e-12
+
+    def test_rejects_periodic_sum_factor(self):
+        x = cwold.pair(PER(), TRI())
+        with pytest.raises(CondCltError, match="triangular sum factors"):
+            cwold.quadrant_decision(x, x)

@@ -1,12 +1,14 @@
 import ast
 import math
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import power_divergence
 
-from condclt import monotone, simulators as sim
+from condclt import mc_engine, monotone, simulators as sim
 from condclt.errors import CondCltError
 
 
@@ -90,7 +92,7 @@ class TestSampleGnp:
         # G(n,p) draws conditioned on their edge count match the exact G(n,m)
         # law, here at n=4, m=3 on the isolated-vertex indicator.
         law = monotone.gnm_count_law(4, 3)
-        p_exact = float(sum(w for key, w in law.items() if key[0] >= 1))
+        p_exact = sum(w for key, w in law.items() if key[0] >= 1) / sum(law.values())
         rng = rng_for(23)
         hits, total = 0, 0
         for _ in range(80_000):
@@ -363,6 +365,57 @@ class TestPublicSamplers:
         assert m == (int(ref_rng.binomial(c, p)) if c > 0 else 0)
         idx, _ = _reference_edge_indices(n, m, ref_rng)
         self.check(deg, rng, _reference_degree_loads(n, idx), ref_rng, 2 * m, max_k)
+
+
+def g_test_pvalue(observed: Counter, law: dict) -> float:
+    """G-test p-value of outcome counts against an exact law given as integer
+    weights; outcomes expected fewer than 5 times share one pooled cell."""
+    reps, total = sum(observed.values()), sum(law.values())
+    expected = {key: reps * w / total for key, w in law.items() if w}
+    assert set(observed) <= set(expected), set(observed) - set(expected)
+    small = [key for key, e in expected.items() if e < 5]
+    cells = [(observed[key], e) for key, e in expected.items() if e >= 5]
+    if small:
+        cells.append((sum(observed[key] for key in small), sum(expected[key] for key in small)))
+    obs, exp = np.array(cells).T
+    return power_divergence(obs, exp, lambda_="log-likelihood").pvalue
+
+
+# both sides of the 0.6 C(n,2) switch between the rejection draw and the permutation
+GNM_SIZES = [(5, 3), (5, 8), (6, 5), (6, 12)]
+
+
+class TestLawsAgainstEnumeration:
+    """The production load kernels, at one fixed seed, against exact laws: the
+    count vectors of run_experiment against full enumeration, and the degrees
+    of the first and last vertex against the hypergeometric law."""
+
+    REPS = 10_000
+    SEED = 5
+
+    @pytest.mark.parametrize("model,n,m", [("gnm", n, m) for n, m in GNM_SIZES]
+                             + [("alloc", 3, 4), ("alloc", 4, 5)])
+    def test_count_vectors(self, model, n, m, tmp_path):
+        enumerate_counts = {"gnm": monotone.enumerate_gnm_degree_counts,
+                            "alloc": monotone.enumerate_allocation_counts}[model]
+        law = Counter(map(tuple, enumerate_counts(n, m).tolist()))
+        dim = len(next(iter(law)))
+        dump = tmp_path / "counts.bin"
+        mc_engine.run_experiment(model, {"n": n, "m": m, "max_k": dim - 1}, self.REPS,
+                                 self.SEED, dump_path=str(dump))
+        observed = Counter(map(tuple, sim.load_count_matrix(dump, dim).tolist()))
+        assert g_test_pvalue(observed, law) >= 1e-4
+
+    @pytest.mark.parametrize("n,m", GNM_SIZES)
+    def test_end_vertex_degrees(self, n, m):
+        # a vertex meets k of its n - 1 pairs and m - k of the other C(n,2) - (n - 1)
+        others = n * (n - 1) // 2 - (n - 1)
+        law = {k: math.comb(n - 1, k) * math.comb(others, m - k)
+               for k in range(min(n - 1, m) + 1)}
+        rng = rng_for(self.SEED)
+        ends = np.array([sim.degree_loads(n, m, rng)[[0, n - 1]] for _ in range(self.REPS)])
+        for degrees in ends.T:
+            assert g_test_pvalue(Counter(degrees.tolist()), law) >= 1e-4
 
 
 class TestTransientMemory:
