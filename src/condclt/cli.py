@@ -287,11 +287,10 @@ def _cwold_checks(args) -> list[tuple]:
     quadrant, off = cwold.quadrant_decision(cf_x, cf_y)
     point = abs(cwold.exact_difference(cf_x, cf_y, Fraction(-3, 5), Fraction(3, 5)))
     inside, outside = (abs(w[1]) if w else Fraction(0) for w in (quadrant, off))
-    at = [f" (at ({w[0][0]}, {w[0][1]}))" if w else "" for w in (quadrant, off)]
-    return [(f"|phi_X - phi_Y| on the closed quadrant{at[0]} = bound", str(inside), "0",
-             inside == 0),
+    at = f" (at ({off[0][0]}, {off[0][1]}))" if off else ""
+    return [("|phi_X - phi_Y| on the closed quadrant = bound", str(inside), "0", inside == 0),
             ("|phi_X - phi_Y|(-3/5, 3/5) = bound", str(point), "1/5", point == Fraction(1, 5)),
-            (f"max |phi_X - phi_Y| off the quadrant{at[1]} > bound", str(outside), "0",
+            (f"max |phi_X - phi_Y| off the quadrant{at} > bound", str(outside), "0",
              outside > 0)]
 
 

@@ -37,6 +37,8 @@ class CharFnExpr(NamedTuple):
 
 
 def triangular(scale: float = 1.0) -> CharFnExpr:
+    if not 0.0 < scale < math.inf:
+        raise CondCltError(f"triangular scale must be positive and finite, got {scale}")
     return CharFnExpr(kind="TRIANGULAR", scale=scale)
 
 

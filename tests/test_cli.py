@@ -375,9 +375,10 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("argv", [
         # the truncation index, at an n where R n pi_k is far above 20
         ("alloc", "--n", "1000000000000", "--m", "1000000000000", "--max-k", "14"),
-        # the largest graph n
-        ("gnm", "--n", "1518500250", "--m", "1518500250", "--max-k", "8"),
-        ("gnp", "--n", "1518500250", "--p", "1e-9", "--max-k", "3"),
+        # the largest graph n and the truncation index 3 of lambda_n ~ 2e-3,
+        # where R n pi_3 ~ 400
+        ("gnm", "--n", "1518500250", "--m", "1518500", "--max-k", "3"),
+        ("gnp", "--n", "1518500250", "--p", "1.3e-12", "--max-k", "3"),
         ("spacings", "--n", "100", "--a", "4.6"),       # n e^-a = 1.005
         ("spacings", "--n", "100", "--a", "0.0101"),    # n (1 - e^-a) = 1.005
         ("alloc", "--n", "1371", "--m", "1371", "--max-k", "7"),  # R n pi_7 = 20.01

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,11 @@ class TestBaseCfs:
         tri = cwold.triangular(scale=2.0)
         assert cwold.eval_cf(tri, [1.0]) == 0.5
         assert cwold.eval_cf(tri, [2.5]) == 0.0
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_scale_must_be_positive_and_finite(self, scale):
+        with pytest.raises(CondCltError, match="scale must be positive and finite"):
+            cwold.triangular(scale)
 
     @given(st.floats(-50, 50))
     @settings(max_examples=200, deadline=None)
