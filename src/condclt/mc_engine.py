@@ -34,7 +34,8 @@ MAX_GRAPH_N = 1_518_500_250     # largest n with (2n-1)^2 < 2**63; C(n,2) is sma
 # n = m = 1e5).  Freeing one mmapped block raises both thresholds to the
 # block's size (mallopt(3), M_MMAP_THRESHOLD), which glibc caps at 32 MiB; the
 # block is never written to, so it costs no resident memory.  64 bytes per
-# item is twice the largest replicate array, gnm's 2m-index draw.
+# item is four times the largest replicate array, gnm's (2, m) int64 endpoint
+# array, and over twice the 24 bytes per edge a gnm replicate holds at its peak.
 _HEAP_BLOCK_PER_ITEM = 64
 _HEAP_BLOCK_MAX = 16 << 20
 

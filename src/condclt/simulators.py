@@ -81,7 +81,15 @@ def _decode_pairs(n: int, idx: np.ndarray) -> np.ndarray:
 
 
 def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform m-subset of the C(n,2) edge indices."""
+    """Uniform m-subset of the C(n,2) edge indices.
+
+    Dense (m > 0.6 C(n,2)): the first m of a random permutation.  Otherwise
+    grow a pool of at least m distinct indices from uniform draws, then drop
+    a uniform random subset of its ranks.  Given its size, the pool is a
+    uniform subset of the C(n,2) indices, since the procedure is equivariant
+    under index permutations; dropping a uniform subset of its ranks with
+    fresh randomness therefore leaves a uniform m-subset.  The kept indices
+    come out sorted."""
     c = n * (n - 1) // 2
     if m > c:
         raise CondCltError(f"m = {m} exceeds C(n,2) = {c}")
@@ -89,29 +97,29 @@ def _sample_edge_indices(n: int, m: int, rng: np.random.Generator) -> np.ndarray
         return np.empty(0, dtype=np.int64)
     if m > 0.6 * c:
         return rng.permutation(c)[:m].astype(np.int64)
-    # Rejection: grow a unique pool, then pick m of it at random.  The whole
-    # procedure is equivariant under index permutations, so the result is a
-    # uniform m-subset.  Below 2**32 numpy draws int64 and uint32 through the
-    # same 32-bit path, so uint32 keeps the stream and halves the sort.
-    # shuffle makes the same calls as permutation(pool.size), and is fastest
-    # on 8-byte items.  Each pass sorts in place and keeps the first of each run.
+    # The slack is about twice the m^2/2c duplicates expected among m draws,
+    # so one pass is the rule.  Below 2**32 numpy draws int64 and uint32
+    # through the same 32-bit path, so uint32 keeps the stream and halves the
+    # sort.  Each pass sorts in place and keeps the first of each run.
     dtype = np.uint32 if c <= 1 << 32 else np.int64
-    draw = rng.integers(0, c, size=max(2 * m + 16, 64), dtype=dtype)
+    slack = 16 + m * m // c
+    draw = rng.integers(0, c, size=m + slack, dtype=dtype)
     while True:
         draw.sort()
         first = np.empty(draw.size, dtype=bool)
         first[0] = True
         np.not_equal(draw[1:], draw[:-1], out=first[1:])
         pool = draw[first]
-        del draw, first                     # freed before the next pass or the widening
+        del draw, first                     # freed before the next pass or the drop
         if pool.size >= m:
             break
-        draw = np.concatenate([pool, rng.integers(
-            0, c, size=max(2 * (m - pool.size) + 16, 64), dtype=dtype)])
-    pool = pool.astype(np.int64, copy=False)
-    rng.shuffle(pool)
-    pool.resize(m, refcheck=False)          # frees the unused tail in place
-    return pool
+        draw = np.concatenate([pool, rng.integers(0, c, size=m - pool.size + slack,
+                                                  dtype=dtype)])
+    if pool.size > m:
+        keep = np.ones(pool.size, dtype=bool)
+        keep[rng.choice(pool.size, pool.size - m, replace=False)] = False
+        pool = pool[keep]
+    return pool.astype(np.int64, copy=False)
 
 
 def degree_loads(n: int, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -213,6 +213,38 @@ def test_criterion_10_moment_convergence(gnm_run):
     assert report(10, max_z <= rep.z_gate, f"max |z| {max_z:.2f}")
 
 
+def exact_mean_max_z(run, exact_mean) -> float:
+    """Largest |z| of the run's standardized means against the exact finite-n
+    means, with the same standard errors as the limit gate."""
+    spec = mc.standardization_for(run.model, run.params)
+    target = (np.asarray(exact_mean, dtype=float) - spec.b_n) / spec.a_n
+    rep = mc.compare_to_theory(run, target, np.zeros((len(target), len(target))))
+    return max(abs(e.z) for e in rep.entries if e.kind == "mean")
+
+
+# The limit gates of criteria 5 and 10 cannot tell the finite-n bias (a z shift
+# of -3.02 for the G(n,m) k = 0 mean at these sizes) from a sampler bug; the
+# exact means can.
+def test_gnm_means_match_exact_finite_n(gnm_run):
+    # a vertex meets k of its n - 1 pairs and m - k of the other C(n,2) - (n - 1)
+    n, m = gnm_run.params["n"], gnm_run.params["m"]
+    c = math.comb(n, 2)
+    exact = [n * math.comb(n - 1, k) * math.comb(c - n + 1, m - k) / math.comb(c, m)
+             for k in range(gnm_run.params["max_k"] + 1)]
+    max_z = exact_mean_max_z(gnm_run, exact)
+    print(f"gnm exact finite-n means: max |z| {max_z:.2f}")
+    assert max_z <= mc.DEFAULT_Z_GATE
+
+
+def test_gnp_means_match_exact_finite_n(gnp_run):
+    n, p = gnp_run.params["n"], gnp_run.params["p"]
+    exact = [lt.expected_degree_count_exact(n, p, k)
+             for k in range(gnp_run.params["max_k"] + 1)]
+    max_z = exact_mean_max_z(gnp_run, exact)
+    print(f"gnp exact finite-n means: max |z| {max_z:.2f}")
+    assert max_z <= mc.DEFAULT_Z_GATE
+
+
 def test_criterion_11_engineering_gates(alloc_run):
     # Determinism: worker count must not change a single byte of the estimates.
     p = {"n": 200, "m": 200, "max_k": 4}

@@ -260,6 +260,15 @@ class TestConfigFile:
         assert code == cli.EXIT_CONFIG_ERROR
         assert "lamda" in capsys.readouterr().err
 
+    # keys that only other subcommands define
+    @pytest.mark.parametrize("experiment,key", [("transfer", "seed=3"), ("transfer", "reps=500"),
+                                                ("cwold", "n=5"), ("cwold", "seed=3")])
+    def test_key_of_another_subcommand_rejected(self, experiment, key, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key}\n")
+        assert run_cli("--config", str(cfg), experiment) == cli.EXIT_CONFIG_ERROR
+        assert key.partition("=")[0] in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("just-a-token\n")

@@ -2,6 +2,7 @@ import ast
 import math
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -144,15 +145,20 @@ def _reference_edge_indices(n, m, rng):
     sim._sample_edge_indices must reproduce it byte for byte, rng state
     included.  Returns the indices and the number of pool passes."""
     c = n * (n - 1) // 2
+    if m == 0:
+        return np.empty(0, dtype=np.int64), 0
     if m > 0.6 * c:
         return rng.permutation(c)[:m].astype(np.int64), 0
+    slack = 16 + m * m // c
     pool = np.empty(0, dtype=np.int64)
     passes = 0
     while pool.size < m:
-        draw = rng.integers(0, c, size=max(2 * (m - pool.size) + 16, 64))
+        draw = rng.integers(0, c, size=m - pool.size + slack)
         pool = np.unique(np.concatenate([pool, draw]))
         passes += 1
-    return pool[rng.permutation(pool.size)[:m]], passes
+    if pool.size > m:
+        pool = np.delete(pool, rng.choice(pool.size, pool.size - m, replace=False))
+    return pool, passes
 
 
 def _row_start(n, i):
@@ -207,9 +213,10 @@ class TestEdgeDraw:
         assert idx.tobytes() == ref.tobytes()
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
-    # At n = 10, m = 27 = 0.6 C(10,2), the first pass of 70 draws yields fewer
-    # than 27 distinct indices only rarely; these seeds are such draws.
-    @pytest.mark.parametrize("seed", [43539, 219043, 865137])
+    # At n = 10, m = 27 = 0.6 C(10,2), the first pass of m + slack = 59 draws
+    # yields fewer than 27 distinct indices only rarely; these seeds are such
+    # draws.
+    @pytest.mark.parametrize("seed", [252, 1138, 1325])
     def test_matches_reference_over_several_passes(self, seed):
         rng, ref_rng = rng_for(seed), rng_for(seed)
         idx = sim._sample_edge_indices(10, 27, rng)
@@ -291,7 +298,7 @@ class TestDegreePath:
         self.check_gnm(n, m, seed)
         self.check_gnp(n, m / (n * (n - 1) // 2), seed)
 
-    @pytest.mark.parametrize("seed", [43539, 219043, 865137])
+    @pytest.mark.parametrize("seed", [252, 1138, 1325])
     def test_matches_reference_over_several_passes(self, seed):
         assert self.check_gnm(10, 27, seed) >= 2
 
@@ -417,11 +424,25 @@ class TestLawsAgainstEnumeration:
         for degrees in ends.T:
             assert g_test_pvalue(Counter(degrees.tolist()), law) >= 1e-4
 
+    # n = 5 with m on both sides of the switch: the rejection draw and the permutation
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_labelled_degree_sequences(self, m):
+        # the law of the whole labelled degree sequence catches a vertex-label
+        # bias that the count vectors average away
+        n = 5
+        law = Counter(tuple(np.bincount(np.ravel(edges), minlength=n).tolist())
+                      for edges in combinations(combinations(range(n), 2), m))
+        rng = rng_for(self.SEED)
+        observed = Counter(tuple(sim.degree_loads(n, m, rng).tolist())
+                           for _ in range(self.REPS))
+        assert g_test_pvalue(observed, law) >= 1e-4
+
 
 class TestTransientMemory:
     def test_gnm_peak_stays_near_the_edge_draw(self):
-        # The rejection pass draws 2m + 16 int64 indices (C(n,2) > 2**32); the
-        # peak of the whole call, that draw included, stays below 2.75 times it.
+        # C(n,2) > 2**32, so the edge draw holds int64 indices.  The peak of
+        # the whole call (the indices and their (2, m) endpoints, about 3m
+        # int64) stays below 2.75 times 2m + 16 of them.
         n = m = 10**5
         sim.degree_loads(n, m, rng_for(0))      # warm-up
         tracemalloc.start()
