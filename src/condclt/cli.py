@@ -65,7 +65,8 @@ def _config_path(argv: list[str]):
 def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     """The condclt parser.  ``config`` maps option dests to strings from a
     config file; each becomes the default of the option with that dest, which
-    argparse type-converts, so explicit flags override file values."""
+    argparse type-converts and no longer requires, so explicit flags override
+    file values."""
     config = config or {}
     parser = argparse.ArgumentParser(
         prog="condclt",
@@ -75,9 +76,10 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True)
 
     def arg(p, *flags, **kwargs):
-        dest = p.add_argument(*flags, **kwargs).dest
-        if dest in config:
-            p.set_defaults(**{dest: config[dest]})
+        action = p.add_argument(*flags, **kwargs)
+        if action.dest in config:
+            p.set_defaults(**{action.dest: config[action.dest]})
+            action.required = False
 
     def common(p, sampling=True):
         arg(p, "--out", help="JSON report path")

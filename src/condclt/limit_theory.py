@@ -117,25 +117,25 @@ def poisson_tail_mass(lam: float, k: int) -> float:
     return math.fsum(terms)
 
 
-def truncation_index(lam: float, tol: float = TAIL_MASS_GATE) -> int:
-    """Smallest K whose Poisson tail mass beyond K is below tol, by bisection:
-    the tail is non-increasing in K."""
+def truncation_index(lam: float) -> int:
+    """Smallest K whose Poisson tail mass beyond K is below TAIL_MASS_GATE, by
+    bisection: the tail is non-increasing in K."""
     lo, hi = -1, 10_000
-    if not poisson_tail_mass(lam, hi) < tol:
+    if not poisson_tail_mass(lam, hi) < TAIL_MASS_GATE:
         raise TruncationError(f"no truncation index below 10000 for lambda={lam}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if poisson_tail_mass(lam, mid) < tol:
+        if poisson_tail_mass(lam, mid) < TAIL_MASS_GATE:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def check_truncation(lam: float, k: int, tol: float = TAIL_MASS_GATE) -> None:
+def check_truncation(lam: float, k: int) -> None:
     tail = poisson_tail_mass(lam, k)
-    if not tail < tol:
-        raise TruncationError(f"tail mass beyond K={k} is {tail:.3e} >= {tol}")
+    if not tail < TAIL_MASS_GATE:
+        raise TruncationError(f"tail mass beyond K={k} is {tail:.3e} >= {TAIL_MASS_GATE}")
 
 
 def alloc_cov(lam: float, i: int, j: int) -> float:

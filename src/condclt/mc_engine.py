@@ -1,10 +1,10 @@
 """Replicated Monte Carlo harness.
 
 Each replicate counts the box loads or vertex degrees that its model's load
-kernel in ``simulators`` draws (spacings: the exceedances) up to max_k, straight
-into one raw count matrix.  The matrix is standardized by the centering/scaling
-sequences of the model and fed, one block of rows per batch, into mergeable
-moment accumulators.
+kernel in ``simulators`` draws up to max_k (spacings: the one count of
+``spacing_exceedances``), straight into one raw count matrix.  The matrix is
+standardized by the centering/scaling sequences of the model and fed, one
+block of rows per batch, into mergeable moment accumulators.
 Replicate i draws from ``default_rng(SeedSequence([seed, i]))``, so the
 estimates do not depend on the worker count or on how replicates are chunked.
 """
@@ -287,15 +287,14 @@ def _replicate_rngs(seed: int, lo: int, hi: int):
 
 def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
     """Raw count rows lo..hi-1, each drawn from its own stream by the model's
-    load kernel (the spacings sampler for spacings) and counted up to max_k;
-    returns the rows, the stream-derivation time and the total time."""
+    load kernel and counted up to max_k (for spacings, one spacing_exceedances
+    count); returns the rows, the stream-derivation time and the total time."""
     start = time.perf_counter()
     dim = replicate_dim(model, params)
     n = params["n"]
     if model == "spacings":
         def draw(rng):
-            return simulators.exceedance_count(simulators.sample_spacings(n, rng),
-                                               params["a"])
+            return simulators.spacing_exceedances(n, params["a"], rng)
     else:
         kernel = simulators.allocation_loads if model == "alloc" else simulators.degree_loads
         c = n * (n - 1) // 2
@@ -336,8 +335,7 @@ class ExperimentRun:
         self.timings = {} if timings is None else timings
 
 
-def run_experiment(model: str, params: dict, reps: int, seed: int,
-                   n_batches: int = DEFAULT_N_BATCHES, workers: int = 1,
+def run_experiment(model: str, params: dict, reps: int, seed: int, workers: int = 1,
                    dump_path=None) -> ExperimentRun:
     """Run reps independent replicates, deterministically in (seed, index).
 
@@ -375,7 +373,7 @@ def run_experiment(model: str, params: dict, reps: int, seed: int,
                                          / sum(chunk[2] for chunk in chunks))
     samples = standardize(raw, standardization_for(model, params))
     standardized = clock()
-    batch_bounds = np.linspace(0, reps, min(n_batches, reps) + 1, dtype=int)
+    batch_bounds = np.linspace(0, reps, min(DEFAULT_N_BATCHES, reps) + 1, dtype=int)
     batch_accs = [MomentAccumulator.from_block(samples[lo:hi])
                   for lo, hi in zip(batch_bounds[:-1], batch_bounds[1:])]
     total = batch_accs[0]

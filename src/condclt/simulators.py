@@ -5,8 +5,8 @@ edge indices into the C(n,2) pairs and keep only the degree array, so n in
 the 10^5..10^6 range stays cheap.  One sampler per model draws a replicate:
 the load kernels ``allocation_loads`` and ``degree_loads`` return the n box
 loads or vertex degrees, which sum to m or 2m on every draw, and
-``sample_spacings`` returns the n gaps, which sum to 1.  Their parameters are
-checked once, by ``mc_engine.check_params``.
+``spacing_exceedances`` counts the circular uniform spacings above a/n.  Their
+parameters are checked once, by ``mc_engine.check_params``.
 """
 
 from __future__ import annotations
@@ -128,17 +128,14 @@ def degree_loads(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
                        minlength=n)
 
 
-def sample_spacings(n: int, rng: np.random.Generator) -> np.ndarray:
-    """The n gaps between n uniform points on a circle of circumference 1."""
-    if n == 1:
-        return np.ones(1)                   # draws nothing
-    pts = np.sort(rng.random(n))
-    return np.diff(pts, append=pts[0] + 1.0)
+def spacing_exceedances(n: int, a: float, rng: np.random.Generator) -> int:
+    """Number of the n gaps between n uniform points on a circle of
+    circumference 1 that are greater than a/n.
 
-
-def exceedance_count(s: np.ndarray, a: float) -> int:
-    """Number of the len(s) spacings greater than a/len(s)."""
-    return int((s > a / len(s)).sum())
+    The gaps are E_i / sum(E) for n iid Exp(1) variables E_i (Pyke 1965), so
+    a gap exceeds a/n exactly when E_i > a sum(E)/n: no sort is needed."""
+    e = rng.standard_exponential(n)
+    return int(np.count_nonzero(e > a * e.sum() / n))
 
 
 # -- vectorized batch samplers (desk-scale n; used by enumeration-vs-sampler

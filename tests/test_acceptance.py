@@ -44,6 +44,11 @@ def gnp_run():
     return mc.run_experiment("gnp", params, reps=5000, seed=2)
 
 
+@pytest.fixture(scope="module")
+def spacings_run():
+    return mc.run_experiment("spacings", {"n": 100_000, "a": 1.0}, reps=4000, seed=8)
+
+
 def test_criterion_1_transfer_identity():
     start = time.perf_counter()
     worst = 0.0
@@ -171,11 +176,9 @@ def test_criterion_7_monotonicity_suite():
     assert report(7, ok, "exact, tolerance 0")
 
 
-def test_criterion_8_spacings():
-    run = mc.run_experiment("spacings", {"n": 100_000, "a": 1.0},
-                            reps=4000, seed=8)
+def test_criterion_8_spacings(spacings_run):
     residual = lt.spacings_limit_constants(1.0).residual
-    rep = mc.verify(run, np.zeros(1), np.array([[residual]]))
+    rep = mc.verify(spacings_run, np.zeros(1), np.array([[residual]]))
     ks = rep.normality[0]["distance"]
     assert report(8, rep.passed, f"var target {residual:.6f}, max |z| "
                                  f"{rep.max_abs_z():.2f}, KS {ks:.4f}")
@@ -242,6 +245,14 @@ def test_gnp_means_match_exact_finite_n(gnp_run):
              for k in range(gnp_run.params["max_k"] + 1)]
     max_z = exact_mean_max_z(gnp_run, exact)
     print(f"gnp exact finite-n means: max |z| {max_z:.2f}")
+    assert max_z <= mc.DEFAULT_Z_GATE
+
+
+def test_spacings_mean_matches_exact_finite_n(spacings_run):
+    # the number of n circular spacings above a/n has mean n (1 - a/n)^(n-1)
+    n, a = spacings_run.params["n"], spacings_run.params["a"]
+    max_z = exact_mean_max_z(spacings_run, [n * (1 - a / n) ** (n - 1)])
+    print(f"spacings exact finite-n mean: |z| {max_z:.2f}")
     assert max_z <= mc.DEFAULT_Z_GATE
 
 

@@ -253,6 +253,17 @@ class TestConfigFile:
         assert code == cli.EXIT_OK
         assert cli.parse_report(str(out)).params["max_k"] == 3
 
+    # n and m are required flags of alloc; the file alone may set them
+    @pytest.mark.parametrize("flags,n", [((), 100), (("--n", "120"), 120)])
+    def test_file_sets_required_options(self, flags, n, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=100\nm=100\nreps=300\nmax_k=2\n")
+        out = tmp_path / "report.json"
+        code = run_cli("--config", str(cfg), "alloc", *flags, "--out", str(out))
+        assert code == cli.EXIT_OK
+        params = cli.parse_report(str(out)).params
+        assert (params["n"], params["m"]) == (n, 100)
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("lamda=2\n")

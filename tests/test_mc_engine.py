@@ -255,8 +255,8 @@ class TestRunExperiment:
 
     def test_batch_accs_partition(self):
         run = mc.run_experiment("alloc", {"n": 10, "m": 10, "max_k": 2},
-                                reps=100, seed=1, n_batches=20)
-        assert len(run.batch_accs) == 20
+                                reps=100, seed=1)
+        assert len(run.batch_accs) == mc.DEFAULT_N_BATCHES
         assert sum(b.count for b in run.batch_accs) == 100
         assert run.acc.count == 100
 
@@ -479,8 +479,7 @@ def _reference_samples(model, params, reps, seed):
     for i in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
         if model == "spacings":
-            raw = np.array([simulators.exceedance_count(simulators.sample_spacings(n, rng),
-                                                        params["a"])])
+            raw = np.array([simulators.spacing_exceedances(n, params["a"], rng)])
         else:
             if model == "gnp":
                 m = int(rng.binomial(n * (n - 1) // 2, params["p"]))

@@ -2,6 +2,7 @@ import ast
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -392,10 +393,22 @@ def g_test_pvalue(observed: Counter, law: dict) -> float:
 GNM_SIZES = [(5, 3), (5, 8), (6, 5), (6, 12)]
 
 
+def spacing_exceedance_law(n: int, a: Fraction) -> dict:
+    """Exact law of the number of n circular uniform spacings above a/n, as
+    integer weights over (nq)^(n-1) for a = p/q: P(N = k) is
+    sum_{j>=k} (-1)^(j-k) C(j,k) C(n,j) (1 - ja/n)_+^(n-1) by inclusion-exclusion
+    over the sets of gaps above a/n."""
+    p, q = a.numerator, a.denominator
+    return {k: sum((-1) ** (j - k) * math.comb(j, k) * math.comb(n, j)
+                   * max(0, n * q - j * p) ** (n - 1) for j in range(k, n + 1))
+            for k in range(n + 1)}
+
+
 class TestLawsAgainstEnumeration:
-    """The production load kernels, at one fixed seed, against exact laws: the
-    count vectors of run_experiment against full enumeration, and the degrees
-    of the first and last vertex against the hypergeometric law."""
+    """The production samplers, at one fixed seed, against exact laws: the
+    count vectors of run_experiment against full enumeration, the degrees of
+    the first and last vertex against the hypergeometric law, and the spacings
+    exceedance counts against their inclusion-exclusion law."""
 
     REPS = 10_000
     SEED = 5
@@ -412,6 +425,15 @@ class TestLawsAgainstEnumeration:
                                  self.SEED, dump_path=str(dump))
         observed = Counter(map(tuple, sim.load_count_matrix(dump, dim).tolist()))
         assert g_test_pvalue(observed, law) >= 1e-4
+
+    @pytest.mark.parametrize("n,a", [(4, Fraction(3, 2)), (5, Fraction(1)),
+                                     (6, Fraction(1, 2))])
+    def test_spacing_exceedances(self, n, a, tmp_path):
+        dump = tmp_path / "counts.bin"
+        mc_engine.run_experiment("spacings", {"n": n, "a": float(a)}, self.REPS, self.SEED,
+                                 dump_path=str(dump))
+        observed = Counter(sim.load_count_matrix(dump, 1)[:, 0].tolist())
+        assert g_test_pvalue(observed, spacing_exceedance_law(n, a)) >= 1e-4
 
     @pytest.mark.parametrize("n,m", GNM_SIZES)
     def test_end_vertex_degrees(self, n, m):
@@ -441,8 +463,8 @@ class TestLawsAgainstEnumeration:
 class TestTransientMemory:
     def test_gnm_peak_stays_near_the_edge_draw(self):
         # C(n,2) > 2**32, so the edge draw holds int64 indices.  The peak of
-        # the whole call (the indices and their (2, m) endpoints, about 3m
-        # int64) stays below 2.75 times 2m + 16 of them.
+        # the whole call (the indices and their (2, m) endpoints, 3.00 times
+        # 8m bytes) stays below 3.25 times m + 2 int64.
         n = m = 10**5
         sim.degree_loads(n, m, rng_for(0))      # warm-up
         tracemalloc.start()
@@ -452,7 +474,7 @@ class TestTransientMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * (16 * m + 128), peak
+        assert peak <= 3.25 * (8 * m + 16), peak
 
 
 class TestValidate:
@@ -466,35 +488,19 @@ class TestValidate:
 
 
 class TestSpacings:
-    def test_single_spacing(self):
-        assert sim.sample_spacings(1, rng_for()).tolist() == [1.0]
-
-    def test_sum_exact(self):
-        rng = rng_for(8)
-        for n in [2, 10, 1000]:
-            s = sim.sample_spacings(n, rng)
-            assert len(s) == n and np.all(s > 0.0)
-            assert abs(s.sum() - 1.0) <= 1e-12
-
-    def test_min_spacing_mean_n2(self):
-        # E min(D, 1-D) = 1/4 for uniform D.
-        rng = rng_for(21)
-        reps = 20_000
-        mins = [sim.sample_spacings(2, rng).min() for _ in range(reps)]
-        se = np.std(mins, ddof=1) / math.sqrt(reps)
-        assert abs(np.mean(mins) - 0.25) < 4 * se
-
     def test_exceedance_extremes(self):
-        sample = sim.sample_spacings(10, rng_for(1))
-        assert sim.exceedance_count(sample, 10.5) == 0
-        assert sim.exceedance_count(sample, 1e-12) == 10
+        rng = rng_for(1)
+        assert sim.spacing_exceedances(10, 10.5, rng) == 0
+        assert sim.spacing_exceedances(10, 1e-12, rng) == 10
+        # the one gap of a single point is the whole circle
+        assert sim.spacing_exceedances(1, 0.5, rng) == 1
+        assert sim.spacing_exceedances(1, 1.0, rng) == 0
 
     def test_exceedance_mean(self):
         # Exact finite-n mean: E N_a = n (1 - a/n)^(n-1) on the circle.
         rng = rng_for(29)
         n, reps, a = 1000, 2000, 1.0
-        vals = [sim.exceedance_count(sim.sample_spacings(n, rng), a) / n
-                for _ in range(reps)]
+        vals = [sim.spacing_exceedances(n, a, rng) / n for _ in range(reps)]
         target = (1 - a / n) ** (n - 1)
         se = np.std(vals, ddof=1) / math.sqrt(reps)
         assert abs(np.mean(vals) - target) < 4 * se
