@@ -7,8 +7,7 @@ Subpackages:
 - ``limit_theory``: closed-form limit covariances for random allocations and
   for vertex degrees in G(n,p) / G(n,m), Weiss's empty-box variance,
   spacings constants, edge-statistic moments.
-- ``simulators``: one exact finite-n replicate sampler per model, and batch
-  samplers for desk-scale n.
+- ``simulators``: one exact finite-n replicate sampler per model.
 - ``monotone``: desk-scale exact stochastic-monotonicity verification.
 - ``mc_engine``: replicated Monte Carlo harness with mergeable moment
   accumulators and theory gates.

@@ -169,12 +169,22 @@ def quadrant_decision(cf_x: CharFnExpr, cf_y: CharFnExpr):
         t1, t2 = (s + d) / 2, (s - d) / 2
         return (t1, t2), exact_difference(cf_x, cf_y, t1, t2)
 
-    s_grid, d_grid = _breaks(sums, Fraction(0), top), _breaks(diffs, -top, top)
+    # Past the largest triangular difference scale D the difference factors
+    # are 0 or of period 2, so f(s, d) = f(s, d -+ 2) wherever |d| > D + 2: the
+    # wedge needs |d| <= D + 2 only, and off it s < |d| <= max(s, D) + 2.
+    reach = max([Fraction(b.scale) for b in diffs if b.kind == "TRIANGULAR"],
+                default=Fraction(0)) + 2
+    s_grid, d_grid = _breaks(sums, Fraction(0), top), _breaks(diffs, -reach, reach)
     corners = (point(s, d) for s, d in _wedge_corners(s_grid, d_grid))
     quadrant = next((c for c in corners if c[1]), None)
-    reach = max([top] + [Fraction(b.scale) for b in diffs if b.kind == "TRIANGULAR"]) + 2
+
+    def off_grid(s):
+        if s <= reach - 2:
+            return d_grid[::-1]
+        band = _breaks(diffs, s, s + 2)
+        return sorted({*band, *(-d for d in band)}, reverse=True)
+
     # d descending, so that of two mirror points the one with t1 > t2 comes first
-    off = max((point(s, d) for s in _breaks(sums, -top, top)
-               for d in reversed(_breaks(diffs, -reach, reach)) if abs(d) > s),
-              key=lambda c: abs(c[1]))
+    off = max((point(s, d) for s in _breaks(sums, -top, top) for d in off_grid(s)
+               if abs(d) > s), key=lambda c: abs(c[1]))
     return quadrant, off if off[1] else None

@@ -138,63 +138,6 @@ def spacing_exceedances(n: int, a: float, rng: np.random.Generator) -> int:
     return int(np.count_nonzero(e > a * e.sum() / n))
 
 
-# -- vectorized batch samplers (desk-scale n; used by enumeration-vs-sampler
-#    checks where the replicate count is large) --------------------------------
-
-def sample_allocation_batch(n: int, m: int, reps: int, rng: np.random.Generator,
-                            max_k: int | None = None) -> np.ndarray:
-    """reps independent allocations; returns the (reps, max_k+1) count matrix.
-
-    max_k defaults to m, which makes the rows exhaustive (no tail)."""
-    if max_k is None:
-        max_k = m
-    out = np.empty((reps, max_k + 1), dtype=np.int64)
-    chunk = max(1, int(2e7) // max(m, 1))
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        r = hi - lo
-        if m == 0:
-            occ = np.zeros((r, n), dtype=np.int64)
-        else:
-            boxes = rng.integers(0, n, size=(r, m))
-            offsets = (np.arange(r) * n)[:, None]
-            occ = np.bincount((boxes + offsets).ravel(), minlength=r * n).reshape(r, n)
-        occ = np.clip(occ, 0, max_k)
-        offsets = (np.arange(r) * (max_k + 1))[:, None]
-        out[lo:hi] = np.bincount(
-            (occ + offsets).ravel(), minlength=r * (max_k + 1)
-        ).reshape(r, max_k + 1)
-    return out
-
-
-def sample_gnm_batch(n: int, m: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """reps independent G(n, m) draws; returns the (reps, n) degree-count matrix.
-
-    Intended for small n (the key matrix is reps x C(n,2))."""
-    c = n * (n - 1) // 2
-    if m > c:
-        raise CondCltError(f"m = {m} exceeds C(n,2) = {c}")
-    i_all, j_all = _decode_pairs(n, np.arange(c, dtype=np.int64))
-    out = np.empty((reps, n), dtype=np.int64)
-    chunk = max(1, int(2e7) // max(c, 1))
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        r = hi - lo
-        if m == 0:
-            deg = np.zeros((r, n), dtype=np.int64)
-        else:
-            keys = rng.random((r, c))
-            chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
-            ends = np.concatenate([i_all[chosen], j_all[chosen]], axis=1)
-            offsets = (np.arange(r) * n)[:, None]
-            deg = np.bincount((ends + offsets).ravel(), minlength=r * n).reshape(r, n)
-        offsets = (np.arange(r) * n)[:, None]
-        out[lo:hi] = np.bincount(
-            (np.clip(deg, 0, n - 1) + offsets).ravel(), minlength=r * n
-        ).reshape(r, n)
-    return out
-
-
 def dump_count_matrix(path, matrix: np.ndarray) -> None:
     """Flat little-endian int64 dump, one row per replicate."""
     np.ascontiguousarray(matrix, dtype="<i8").tofile(path)

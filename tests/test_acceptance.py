@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from condclt import cwold, limit_theory as lt, mc_engine as mc, monotone, simulators
+from condclt import cwold, limit_theory as lt, mc_engine as mc, monotone
+from exact_laws import enumerated_law, g_test_pvalue, sampled_rows
 
 LAMBDAS = [0.5, 1.0, 2.0, 4.0]
 
@@ -117,39 +118,27 @@ def test_criterion_5_degree_covariances(gnp_run, gnm_run):
                          f"(0,1) gnp {p01.estimate:.5f} gnm {m01.estimate:.5f}")
 
 
-def test_criterion_6_exact_small_instance_oracle():
+def test_criterion_6_exact_small_instance_oracle(tmp_path):
+    # The samplers every experiment runs (run_experiment -> degree_loads,
+    # allocation_loads) against full enumeration: a G-test of the count rows,
+    # or, where the law has a single outcome and the G-test no degree of
+    # freedom, equality of every row with that outcome.
     start = time.perf_counter()
-    reps = 1_000_000
-    rng = np.random.default_rng(6)
-    ok = True
-
-    def moments_within_4se(sampled, exact_mean, exact_var):
-        nonlocal ok
-        for k in range(sampled.shape[1]):
-            col = sampled[:, k].astype(float)
-            se_mean = col.std(ddof=1) / math.sqrt(reps)
-            if abs(col.mean() - exact_mean[k]) > 4 * max(se_mean, 1e-12):
-                ok = False
-            dev = col - col.mean()
-            var = (dev**2).mean()
-            se_var = math.sqrt(max((dev**4).mean() - var**2, 0.0) / reps)
-            if abs(var - exact_var[k]) > 4 * max(se_var, 1e-12):
-                ok = False
-
-    for m in range(7):
-        exact = monotone.enumerate_gnm_degree_counts(4, m)
-        exact_mean, exact_cov = monotone.exact_moments(exact)
-        sampled = simulators.sample_gnm_batch(4, m, reps, rng)
-        moments_within_4se(sampled, exact_mean, np.diag(exact_cov))
-
-    for m in range(5):
-        exact = monotone.enumerate_allocation_counts(3, m)
-        exact_mean, exact_cov = monotone.exact_moments(exact)
-        sampled = simulators.sample_allocation_batch(3, m, reps, rng)[:, : m + 1]
-        moments_within_4se(sampled, exact_mean, np.diag(exact_cov))
-
+    pvalues, equal = {}, True
+    for model, n, sizes in [("gnm", 4, range(7)), ("alloc", 3, range(5))]:
+        for m in sizes:
+            law = enumerated_law(model, n, m)
+            params = {"n": n, "m": m, "max_k": len(next(iter(law))) - 1}
+            observed = sampled_rows(model, params, 20_000, 6, tmp_path / "counts.bin")
+            if len(law) == 1:
+                equal = equal and observed.keys() == law.keys()
+            else:
+                pvalues[f"{model} m={m}"] = g_test_pvalue(observed, law)
     elapsed = time.perf_counter() - start
-    assert report(6, ok and elapsed < 60.0, f"R=1e6, {elapsed:.1f}s")
+    ok = equal and min(pvalues.values()) >= 1e-4 and elapsed < 60.0
+    shown = ", ".join(f"{key} p={p:.3f}" for key, p in pvalues.items())
+    assert report(6, ok, f"R=2e4, {shown}, single-outcome rows "
+                         f"{'equal' if equal else 'unequal'}, {elapsed:.1f}s")
 
 
 def test_criterion_7_monotonicity_suite():

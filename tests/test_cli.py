@@ -208,6 +208,25 @@ class TestSamplingSubcommands:
         assert report.seed is None and report.provenance["seed"] is None
 
 
+class TestReadmeExamples:
+    """The README's two sampling examples exit 1 with the figures it states
+    next to them, so a change to a random stream updates the README too."""
+
+    @pytest.mark.parametrize("argv,ks,max_z", [
+        (("alloc", "--n", "10000", "--m", "10000", "--max-k", "5", "--reps", "2000"),
+         {4: "0.0549"}, "2.618"),
+        (("gnm", "--n", "2000", "--m", "2000", "--reps", "5000", "--workers", "2"),
+         {6: "0.0633", 7: "0.1072", 8: "0.2133"}, "3.063"),
+    ], ids=["alloc", "gnm"])
+    def test_stated_figures(self, argv, ks, max_z, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli(*argv, "--out", str(out)) == cli.EXIT_GATE_FAILURE
+        report = cli.parse_report(str(out))
+        distances = {e["index"]: f"{e['distance']:.4f}" for e in report.normality}
+        assert {k: distances[k] for k in ks} == ks
+        assert f"{report.max_abs_z():.3f}" == max_z
+
+
 class TestImports:
     def test_runs_load_no_scipy(self):
         """Every subcommand runs without scipy, and importing the CLI loads no

@@ -184,7 +184,9 @@ class TestScanTable:
 
 
 # (X, Y, equal on the quadrant): the canonical pair, a rescaled difference
-# factor, and pairs with other sum-factor scales
+# factor, and pairs with other sum-factor scales; at scale 1e9 the decision
+# runs in constant time, since past the difference scales it needs only one
+# period of the periodic factor
 TRI, PER = cwold.triangular, cwold.periodic_triangular
 PAIRS = [
     (*cwold.canonical_pair(), True),
@@ -192,6 +194,7 @@ PAIRS = [
     (cwold.pair(TRI(2.0), TRI()), cwold.pair(TRI(2.0), PER()), False),
     (cwold.pair(TRI(0.5), TRI()), cwold.pair(TRI(0.5), PER()), True),
     (cwold.pair(TRI(0.25), TRI(3.0)), cwold.pair(TRI(0.5), TRI(3.0)), False),
+    (cwold.pair(TRI(1e9), TRI()), cwold.pair(TRI(1e9), PER()), False),
 ]
 
 

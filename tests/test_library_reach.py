@@ -13,13 +13,11 @@ KEPT = {
     "allocation_count_law": "exact occupancy-vector law; folds into the exact finite-n gates",
     "edge_stat_moments": "Cov(U_k, V) and Var(V) of the edge statistic; the joint gate's input",
     "enumerate_allocation_counts": "the exhaustive allocation oracle of criterion 6",
-    "exact_moments": "exact moments of an enumeration, compared in criterion 6",
+    "exact_moments": "exact moments of an enumeration, the theory of the desk-scale gate tests",
     "expected_degree_count_exact": "exact finite-n degree mean; folds into the exact gates",
     "gnp_degree_cov": "per-entry reference that theory_cov_matrix is tested against",
     "load_count_matrix": "reads the --dump count-matrix format back",
     "parse_report": "reads the JSON report format back",
-    "sample_allocation_batch": "desk-scale batch sampler of criterion 6",
-    "sample_gnm_batch": "desk-scale batch sampler of criterion 6",
     "weiss_variance": "Weiss's empty-box variance, the reference of the empty-box tests",
 }
 

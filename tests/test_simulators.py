@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import power_divergence
 
-from condclt import mc_engine, monotone, simulators as sim
+from condclt import monotone, simulators as sim
 from condclt.errors import CondCltError
+from exact_laws import enumerated_law, g_test_pvalue, sampled_rows
 
 
 def rng_for(seed=0):
@@ -55,14 +55,6 @@ class TestSampleAllocation:
         loads = sim.allocation_loads(1, 50, rng_for())
         assert_conserved(loads, 1, 50, 40)
         assert count_row(loads, 40).sum() == 0
-
-    def test_exact_collision_probability(self):
-        # n=3, m=2: both balls in one box with probability 1/3.
-        reps = 200_000
-        counts = sim.sample_allocation_batch(3, 2, reps, rng_for(11))
-        p_hat = (counts[:, 0] == 2).mean()
-        se = math.sqrt((1 / 3) * (2 / 3) / reps)
-        assert abs(p_hat - 1 / 3) < 4 * se
 
     def test_conservation_every_draw(self):
         rng = rng_for(5)
@@ -117,15 +109,6 @@ class TestSampleGnm:
     def test_too_many_edges(self):
         with pytest.raises(CondCltError, match=r"m = 4 exceeds C\(n,2\) = 3"):
             sim.degree_loads(3, 4, rng_for())
-
-    def test_exact_means_against_enumeration(self):
-        counts = monotone.enumerate_gnm_degree_counts(4, 3)
-        exact_mean, _ = monotone.exact_moments(counts)
-        reps = 200_000
-        sampled = sim.sample_gnm_batch(4, 3, reps, rng_for(31))
-        for k in range(4):
-            se = sampled[:, k].std(ddof=1) / math.sqrt(reps)
-            assert abs(sampled[:, k].mean() - exact_mean[k]) < 4 * se
 
     def test_edge_conservation_exact(self):
         rng = rng_for(2)
@@ -375,64 +358,62 @@ class TestPublicSamplers:
         self.check(deg, rng, _reference_degree_loads(n, idx), ref_rng, 2 * m, max_k)
 
 
-def g_test_pvalue(observed: Counter, law: dict) -> float:
-    """G-test p-value of outcome counts against an exact law given as integer
-    weights; outcomes expected fewer than 5 times share one pooled cell."""
-    reps, total = sum(observed.values()), sum(law.values())
-    expected = {key: reps * w / total for key, w in law.items() if w}
-    assert set(observed) <= set(expected), set(observed) - set(expected)
-    small = [key for key, e in expected.items() if e < 5]
-    cells = [(observed[key], e) for key, e in expected.items() if e >= 5]
-    if small:
-        cells.append((sum(observed[key] for key in small), sum(expected[key] for key in small)))
-    obs, exp = np.array(cells).T
-    return power_divergence(obs, exp, lambda_="log-likelihood").pvalue
-
-
 # both sides of the 0.6 C(n,2) switch between the rejection draw and the permutation
 GNM_SIZES = [(5, 3), (5, 8), (6, 5), (6, 12)]
 
 
 def spacing_exceedance_law(n: int, a: Fraction) -> dict:
     """Exact law of the number of n circular uniform spacings above a/n, as
-    integer weights over (nq)^(n-1) for a = p/q: P(N = k) is
+    integer weights over (nq)^(n-1) for a = p/q, keyed by the one-entry count
+    row (k,): P(N = k) is
     sum_{j>=k} (-1)^(j-k) C(j,k) C(n,j) (1 - ja/n)_+^(n-1) by inclusion-exclusion
     over the sets of gaps above a/n."""
     p, q = a.numerator, a.denominator
-    return {k: sum((-1) ** (j - k) * math.comb(j, k) * math.comb(n, j)
-                   * max(0, n * q - j * p) ** (n - 1) for j in range(k, n + 1))
+    return {(k,): sum((-1) ** (j - k) * math.comb(j, k) * math.comb(n, j)
+                      * max(0, n * q - j * p) ** (n - 1) for j in range(k, n + 1))
             for k in range(n + 1)}
 
 
 class TestLawsAgainstEnumeration:
     """The production samplers, at one fixed seed, against exact laws: the
-    count vectors of run_experiment against full enumeration, the degrees of
+    count vectors of run_experiment against full enumeration (for G(n,p), the
+    G(n,m) enumerations weighted by the binomial edge count), the degrees of
     the first and last vertex against the hypergeometric law, and the spacings
     exceedance counts against their inclusion-exclusion law."""
 
     REPS = 10_000
     SEED = 5
 
-    @pytest.mark.parametrize("model,n,m", [("gnm", n, m) for n, m in GNM_SIZES]
+    # n = 7: C(21, 8) = 203,490 graphs; m = 8 takes the rejection draw, m = 14
+    # the permutation (0.6 C(7,2) = 12.6)
+    @pytest.mark.parametrize("model,n,m",
+                             [("gnm", n, m) for n, m in GNM_SIZES + [(7, 8), (7, 14)]]
                              + [("alloc", 3, 4), ("alloc", 4, 5)])
     def test_count_vectors(self, model, n, m, tmp_path):
-        enumerate_counts = {"gnm": monotone.enumerate_gnm_degree_counts,
-                            "alloc": monotone.enumerate_allocation_counts}[model]
-        law = Counter(map(tuple, enumerate_counts(n, m).tolist()))
-        dim = len(next(iter(law)))
-        dump = tmp_path / "counts.bin"
-        mc_engine.run_experiment(model, {"n": n, "m": m, "max_k": dim - 1}, self.REPS,
-                                 self.SEED, dump_path=str(dump))
-        observed = Counter(map(tuple, sim.load_count_matrix(dump, dim).tolist()))
+        law = enumerated_law(model, n, m)
+        params = {"n": n, "m": m, "max_k": len(next(iter(law))) - 1}
+        observed = sampled_rows(model, params, self.REPS, self.SEED, tmp_path / "counts.bin")
+        assert g_test_pvalue(observed, law) >= 1e-4
+
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 4)])
+    def test_gnp_count_vectors(self, p, tmp_path):
+        # G(n,p) weighs each m-edge graph by p^m (1-p)^(C(n,2)-m), in integers
+        # as num^m (den-num)^(C(n,2)-m) for p = num/den
+        n, c = 5, 10
+        law = Counter()
+        for m in range(c + 1):
+            weight = p.numerator ** m * (p.denominator - p.numerator) ** (c - m)
+            for key, graphs in monotone.gnm_count_law(n, m).items():
+                law[key] += graphs * weight
+        observed = sampled_rows("gnp", {"n": n, "p": float(p), "max_k": n - 1}, self.REPS,
+                                self.SEED, tmp_path / "counts.bin")
         assert g_test_pvalue(observed, law) >= 1e-4
 
     @pytest.mark.parametrize("n,a", [(4, Fraction(3, 2)), (5, Fraction(1)),
                                      (6, Fraction(1, 2))])
     def test_spacing_exceedances(self, n, a, tmp_path):
-        dump = tmp_path / "counts.bin"
-        mc_engine.run_experiment("spacings", {"n": n, "a": float(a)}, self.REPS, self.SEED,
-                                 dump_path=str(dump))
-        observed = Counter(sim.load_count_matrix(dump, 1)[:, 0].tolist())
+        observed = sampled_rows("spacings", {"n": n, "a": float(a)}, self.REPS, self.SEED,
+                                tmp_path / "counts.bin")
         assert g_test_pvalue(observed, spacing_exceedance_law(n, a)) >= 1e-4
 
     @pytest.mark.parametrize("n,m", GNM_SIZES)
