@@ -2,8 +2,8 @@
 
 Subpackages:
 
-- ``gauss_cond``: exact multivariate-Gaussian conditioning (Schur complement,
-  scalar residual variance).
+- ``gauss_cond``: exact Gaussian conditioning on one coordinate (the Schur
+  complement of its variance).
 - ``limit_theory``: closed-form limit covariances for random allocations and
   for vertex degrees in G(n,p) / G(n,m), Weiss's empty-box variance,
   spacings constants, edge-statistic moments.

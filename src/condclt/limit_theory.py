@@ -170,13 +170,7 @@ def gnm_degree_cov(lam: float, j: int, k: int) -> float:
 class TheoryCovariance(NamedTuple):
     """Truncated (K+1)x(K+1) limit covariance matrix for one model."""
 
-    model: str
-    lam: float
     matrix: np.ndarray
-
-    @property
-    def k_max(self) -> int:
-        return self.matrix.shape[0] - 1
 
 
 def theory_cov_matrix(model: str, lam: float, k_max: int) -> TheoryCovariance:
@@ -194,7 +188,7 @@ def theory_cov_matrix(model: str, lam: float, k_max: int) -> TheoryCovariance:
     u = pi * (np.arange(k_max + 1) - lam)
     sign = 1.0 if model == GNP else -1.0
     mat = np.diag(pi) - np.outer(pi, pi) + sign * np.outer(u, u) / lam
-    return TheoryCovariance(model=model, lam=lam, matrix=mat)
+    return TheoryCovariance(mat)
 
 
 def expected_degree_count_exact(n: int, p: float, k: int) -> float:
@@ -217,9 +211,9 @@ def weiss_variance(lam: float) -> float:
     if lam <= 0.0:
         raise CondCltError(f"lambda must be positive, got {lam}")
     out = math.exp(-lam) - math.exp(-2 * lam) - lam * math.exp(-2 * lam)
-    # Cross-check against the generic residual-variance route.
+    # Cross-check: condition (N_0, S) on the total S.
     e = math.exp(-lam)
-    alt = gauss_cond.residual_variance(e * (1.0 - e), lam, -lam * e)
+    alt = float(gauss_cond.schur_complement([[e * (1.0 - e), -lam * e], [-lam * e, lam]])[0, 0])
     if abs(out - alt) > 1e-14 * max(1.0, abs(out)):
         raise CondCltError(f"Weiss variance {out!r} != conditioning route {alt!r}")
     return out
@@ -241,7 +235,7 @@ def spacings_limit_constants(a: float) -> SpacingsConstants:
     sx2 = e * (1.0 - e)
     sxy = a * e
     sy2 = 1.0
-    residual = gauss_cond.residual_variance(sx2, sy2, sxy)
+    residual = float(gauss_cond.schur_complement([[sx2, sxy], [sxy, sy2]])[0, 0])
     closed = e - e * e - a * a * e * e
     if abs(residual - closed) > 1e-14 * max(1.0, abs(closed)):
         raise CondCltError(f"spacings residual {residual!r} != closed form {closed!r}")
@@ -262,12 +256,11 @@ def edge_stat_moments(lam: float, k_max: int) -> tuple[np.ndarray, float]:
 def gnm_cov_via_conditioning(lam: float, k_max: int) -> np.ndarray:
     """Condition the G(n,p) limit covariance on the edge statistic.
 
-    The joint vector (U_0..U_K, V) is A U with A = [I; k/2], so its covariance
-    is A Sigma A^T; running it through the exact conditioning machinery
-    reproduces the G(n, m) covariance matrix.
+    The joint covariance of (U_0..U_K, V) is Sigma bordered by
+    edge_stat_moments; its Schur complement on V reproduces the G(n, m)
+    covariance matrix.
     """
-    check_truncation(lam, k_max)
-    a = np.vstack([np.eye(k_max + 1), 0.5 * np.arange(k_max + 1)])
-    cov = a @ theory_cov_matrix(GNP, lam, k_max).matrix @ a.T
-    jg = gauss_cond.JointGaussian(q=k_max + 1, r=1, mean=np.zeros(k_max + 2), cov=cov)
-    return gauss_cond.condition_on_vector(jg, 0.0).cov
+    cov_with_v, var_v = edge_stat_moments(lam, k_max)
+    sigma = theory_cov_matrix(GNP, lam, k_max).matrix
+    joint = np.vstack([np.column_stack([sigma, cov_with_v]), np.append(cov_with_v, var_v)])
+    return gauss_cond.schur_complement(joint)

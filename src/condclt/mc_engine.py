@@ -441,33 +441,15 @@ class VerificationReport:
                                                       for e in d["entries"]]})
 
 
-def _mean_entries(run: ExperimentRun, theory_mean: np.ndarray) -> list[ComparisonEntry]:
-    est = run.acc.mean
-    cov = run.acc.covariance()
+def _entries(kind: str, index, theory, estimate, stderr) -> list[ComparisonEntry]:
+    """One ComparisonEntry per (i, j) of index, from the matching theory,
+    estimate and standard-error values; a zero SE gives z = 0 for a zero
+    difference and z = inf otherwise."""
     out = []
-    for i in range(run.acc.dim):
-        se = math.sqrt(max(cov[i, i], 0.0) / run.acc.count)
-        diff = est[i] - theory_mean[i]
+    for (i, j), t, e, se in zip(index, theory.tolist(), estimate.tolist(), stderr.tolist()):
+        diff = e - t
         z = diff / se if se > 0 else (0.0 if diff == 0.0 else math.inf)
-        out.append(ComparisonEntry("mean", i, -1, float(theory_mean[i]), float(est[i]),
-                                   se, float(z)))
-    return out
-
-
-def _cov_entries(run: ExperimentRun, theory_cov: np.ndarray) -> list[ComparisonEntry]:
-    """Covariance z-scores with batch-means standard errors."""
-    est = run.acc.covariance()
-    batch_covs = np.array([b.covariance() for b in run.batch_accs])
-    nb = len(run.batch_accs)
-    se_mat = batch_covs.std(axis=0, ddof=1) / math.sqrt(nb)
-    out = []
-    for i in range(run.acc.dim):
-        for j in range(i, run.acc.dim):
-            se = float(se_mat[i, j])
-            diff = est[i, j] - theory_cov[i, j]
-            z = diff / se if se > 0 else (0.0 if diff == 0.0 else math.inf)
-            out.append(ComparisonEntry("cov", i, j, float(theory_cov[i, j]),
-                                       float(est[i, j]), se, float(z)))
+        out.append(ComparisonEntry(kind, i, j, t, e, se, z))
     return out
 
 
@@ -475,19 +457,35 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
                       z_gate: float = DEFAULT_Z_GATE) -> VerificationReport:
     """Gate sample means and covariances against closed-form predictions.
 
-    Mean entries use sqrt(var/count) standard errors; covariance entries use
-    batch-means standard errors across the per-batch covariance estimates.
+    Mean entries use sqrt(var/count) standard errors; covariance entries
+    (upper triangle, row by row) use batch-means standard errors across the
+    per-batch covariance estimates.  The theory must be finite and of shapes
+    (dim,) and (dim, dim).
     """
     if run.acc.count < MIN_REPS:
         raise CondCltError(f"need >= {MIN_REPS} replicates, got {run.acc.count}")
     theory_mean = np.asarray(theory_mean, dtype=float)
     theory_cov = np.asarray(theory_cov, dtype=float)
+    dim = run.acc.dim
+    if theory_mean.shape != (dim,) or theory_cov.shape != (dim, dim):
+        raise CondCltError(f"theory shapes {theory_mean.shape} and {theory_cov.shape} "
+                           f"are not ({dim},) and ({dim}, {dim})")
+    if not (np.isfinite(theory_mean).all() and np.isfinite(theory_cov).all()):
+        raise CondCltError("theory mean and covariance must be finite")
     report = VerificationReport(
         experiment=run.model, params=run.params, seed=run.seed,
         z_gate=z_gate, ks_gate=DEFAULT_KS_GATE, wall_time=run.wall_time,
         timings=dict(run.timings),
     )
-    report.entries = _mean_entries(run, theory_mean) + _cov_entries(run, theory_cov)
+    cov = run.acc.covariance()
+    mean_se = np.sqrt(np.maximum(np.diag(cov), 0.0) / run.acc.count)
+    batch_covs = np.array([b.covariance() for b in run.batch_accs])
+    cov_se = batch_covs.std(axis=0, ddof=1) / math.sqrt(len(run.batch_accs))
+    upper = np.triu_indices(dim)
+    report.entries = (
+        _entries("mean", [(i, -1) for i in range(dim)], theory_mean, run.acc.mean, mean_se)
+        + _entries("cov", np.transpose(upper).tolist(), theory_cov[upper], cov[upper],
+                   cov_se[upper]))
     report.passed = report.max_abs_z() <= z_gate
     return report
 

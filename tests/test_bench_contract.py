@@ -46,7 +46,7 @@ def test_traced_verdicts_give_every_per_layer_metric(tmp_path):
     metrics = tr.layer_metrics(snap, verdict_s)
     assert set(metrics) >= expected
     assert metrics["limit_theory.pmf_calls"] > 0 and metrics["cwold.grid_points"] > 0
-    assert metrics["monotone.outcomes_enumerated"] > 0
+    assert metrics["monotone.outcomes_enumerated"] > 0 and metrics["gauss_cond.calls"] > 0
 
     w = dataclasses.replace(workloads.WORKLOADS["gnm-2e3"], reps=1000)
     theory = workloads.setup(w)[0]

@@ -11,7 +11,6 @@ SRC = ROOT / "src" / "condclt"
 # Public names that only tests reach, kept on purpose.
 KEPT = {
     "allocation_count_law": "exact occupancy-vector law; folds into the exact finite-n gates",
-    "edge_stat_moments": "Cov(U_k, V) and Var(V) of the edge statistic; the joint gate's input",
     "enumerate_allocation_counts": "the exhaustive allocation oracle of criterion 6",
     "exact_moments": "exact moments of an enumeration, the theory of the desk-scale gate tests",
     "expected_degree_count_exact": "exact finite-n degree mean; folds into the exact gates",

@@ -250,7 +250,7 @@ class TestWeissVariance:
             lt.weiss_variance(0.0)
 
     def test_cross_check_raises(self, monkeypatch):
-        monkeypatch.setattr(lt.gauss_cond, "residual_variance", lambda *args: 0.5)
+        monkeypatch.setattr(lt.gauss_cond, "schur_complement", lambda cov: np.array([[0.5]]))
         with pytest.raises(CondCltError, match="Weiss variance .* != conditioning route"):
             lt.weiss_variance(1.0)
         with pytest.raises(CondCltError, match="spacings residual .* != closed form"):

@@ -459,6 +459,27 @@ class TestVerify:
                                    "reason": "theory variance 0 <= 0"}]
         assert [e["index"] for e in report.normality] == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("entry", ["mean", "cov"])
+    def test_nan_theory_raises(self, entry):
+        # this run passes against the finite ALLOC theory; a NaN used to give
+        # z = nan or KS = nan, which no gate fails
+        run = mc.run_experiment("alloc", {"n": 5000, "m": 5000, "max_k": 3}, reps=2000, seed=0)
+        mean, cov = np.zeros(4), lt.theory_cov_matrix(lt.ALLOC, 1.0, 3).matrix
+        assert mc.verify(run, mean, cov).passed
+        if entry == "mean":
+            mean[1] = np.nan
+        else:
+            cov[2, 2] = np.nan
+        with pytest.raises(CondCltError, match="must be finite"):
+            mc.verify(run, mean, cov)
+
+    def test_theory_of_the_wrong_shape_raises(self):
+        run = mc.run_experiment("alloc", self.P, reps=200, seed=0)
+        with pytest.raises(CondCltError, match=r"are not \(4,\) and \(4, 4\)"):
+            mc.verify(run, np.zeros(3), np.eye(4))
+        with pytest.raises(CondCltError, match=r"are not \(4,\) and \(4, 4\)"):
+            mc.verify(run, np.zeros(4), np.eye(5))
+
     def test_few_replicates_skip_the_ks_gate(self):
         reps = mc.KS_MIN_REPS - 1
         run = mc.run_experiment("alloc", self.P, reps=reps, seed=0)

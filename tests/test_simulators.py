@@ -3,7 +3,7 @@ import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -427,17 +427,20 @@ class TestLawsAgainstEnumeration:
         for degrees in ends.T:
             assert g_test_pvalue(Counter(degrees.tolist()), law) >= 1e-4
 
-    # n = 5 with m on both sides of the switch: the rejection draw and the permutation
-    @pytest.mark.parametrize("m", [3, 8])
-    def test_labelled_degree_sequences(self, m):
-        # the law of the whole labelled degree sequence catches a vertex-label
+    # G(5, m) with m on both sides of the switch, the rejection draw and the
+    # permutation, and 4 balls in 3 boxes (15 multinomial cells)
+    @pytest.mark.parametrize("model,n,m", [pytest.param("gnm", 5, 3, id="3"),
+                                           pytest.param("gnm", 5, 8, id="8"),
+                                           pytest.param("alloc", 3, 4, id="alloc-3-4")])
+    def test_labelled_degree_sequences(self, model, n, m):
+        # the law of the whole labelled load vector catches a vertex or box
         # bias that the count vectors average away
-        n = 5
-        law = Counter(tuple(np.bincount(np.ravel(edges), minlength=n).tolist())
-                      for edges in combinations(combinations(range(n), 2), m))
+        outcomes = (combinations(combinations(range(n), 2), m) if model == "gnm"
+                    else product(range(n), repeat=m))
+        law = Counter(tuple(np.bincount(np.ravel(o), minlength=n).tolist()) for o in outcomes)
+        draw = sim.degree_loads if model == "gnm" else sim.allocation_loads
         rng = rng_for(self.SEED)
-        observed = Counter(tuple(sim.degree_loads(n, m, rng).tolist())
-                           for _ in range(self.REPS))
+        observed = Counter(tuple(draw(n, m, rng).tolist()) for _ in range(self.REPS))
         assert g_test_pvalue(observed, law) >= 1e-4
 
 
