@@ -31,7 +31,8 @@ TABLE_HEADER = ["experiment", "entry_i", "entry_j", "theory", "estimate", "stder
 CHECK_TABLE_HEADER = ["experiment", "name", "value", "bound", "passed"]
 MIN_TOTAL_COUNT = 20        # fewest expected counts of a marginal over all replicates
 # transfer builds (K+1)^2 matrices and conditions them in O(K^3): K = 2000 takes
-# about 2.5 s and 250 MiB, and covers the truncation index of every lam up to ~1700
+# about 2.3 s and 220 MiB on one BLAS thread of a 2-core host, and covers the
+# truncation index of every lam up to ~1700
 MAX_TRANSFER_K = 2000
 
 
@@ -268,8 +269,7 @@ def _monotone_checks(args) -> list[tuple]:
         for m in range(1, args.max_m + 1):
             law = monotone.exact_empty_box_law(n, m)
             holds, witness = monotone.check_stochastic_dominance(law, prev)
-            checks.append((f"empty boxes n={n}: m={m} <=st m={m - 1}", witness, None,
-                           holds and bool(monotone.quantile_coupling(law, prev))))
+            checks.append((f"empty boxes n={n}: m={m} <=st m={m - 1}", witness, None, holds))
             prev = law
     return checks
 

@@ -2,8 +2,9 @@
 
 Covers Poisson probabilities, the allocation limit covariance, the G(n,p)
 and G(n,m) degree-count covariances, Weiss's empty-box variance, exact
-finite-n degree means, spacings constants and the edge-statistic moments
-used for the analytic G(n,p) -> G(n,m) transfer.
+finite-n degree means, spacings constants and the joint covariance of the
+degree counts and the edge statistic used for the analytic G(n,p) -> G(n,m)
+transfer.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from . import gauss_cond
 from .errors import CondCltError, TruncationError
 
 TAIL_MASS_GATE = 1e-12
+_MAX_TRUNCATION_K = 10_000
 
 _FACTORIALS = tuple(float(math.factorial(k)) for k in range(171))   # 171! overflows
 _DIRECT_MAX_LAM = 708.0     # exp(-lam) is a normal float below lam = 708.39
@@ -82,60 +84,39 @@ def _decimal_pmf(lam: float, k: int) -> float:
         return float((dk - d - series).exp() * (d / dk)**k / (_TWO_PI * dk).sqrt())
 
 
-def poisson_tail_mass(lam: float, k: int) -> float:
-    """P(Po(lam) > k).
+def truncation_index(lam: float) -> int:
+    """Smallest K with P(Po(lam) > K) below TAIL_MASS_GATE, in one upward pass.
 
-    The mass on the far side of k from the mode is summed away from k,
-    starting at one pmf value and stepping with the term ratio, so the upper
-    tail keeps its relative accuracy where 1 - sum(pmf) would cancel; up to
-    the mode the tail is not small and 1 - P(Po(lam) <= k) is exact enough.
+    The tail is not small up to the mode floor(lam), so K is at least the
+    mode.  From one pmf value just above it the terms are stepped by their
+    ratio lam/j while the geometric bound term * lam / (j - lam) on the rest
+    exceeds 2**-60 of the gate; the tails are then summed from the far end.
     """
-    if lam <= 0.0:
-        raise CondCltError(f"lambda must be positive, got {lam}")
-    if k < 0:
-        return 1.0
-    if k + 1 <= lam:
-        # every earlier ratio is at most j/lam < 1, so the rest is below the
-        # geometric bound term * j / (lam - j)
-        term = poisson_pmf(lam, k)
-        terms = [term]
-        j = k
-        while j > 0 and term * j / (lam - j) > 2.0**-60 * terms[0]:
-            term *= j / lam
-            terms.append(term)
-            j -= 1
-        return 1.0 - math.fsum(terms)
-    term = poisson_pmf(lam, k + 1)
+    if not lam < _MAX_TRUNCATION_K:
+        raise TruncationError(f"no truncation index below {_MAX_TRUNCATION_K} for lambda={lam}")
+    j = math.floor(lam) + 1
+    term = poisson_pmf(lam, j)
     terms = [term]
-    j = k + 2
-    # every later ratio is at most lam/j < 1, so the rest is below the
-    # geometric bound term * lam / (j - lam)
-    while term > 0.0 and term * lam / (j - lam) > 2.0**-60 * terms[0]:
+    j += 1
+    while term > 0.0 and term * lam / (j - lam) > 2.0**-60 * TAIL_MASS_GATE:
         term *= lam / j
         terms.append(term)
         j += 1
-    return math.fsum(terms)
-
-
-def truncation_index(lam: float) -> int:
-    """Smallest K whose Poisson tail mass beyond K is below TAIL_MASS_GATE, by
-    bisection: the tail is non-increasing in K."""
-    lo, hi = -1, 10_000
-    if not poisson_tail_mass(lam, hi) < TAIL_MASS_GATE:
-        raise TruncationError(f"no truncation index below 10000 for lambda={lam}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if poisson_tail_mass(lam, mid) < TAIL_MASS_GATE:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k, tail = j - 1, 0.0            # adding the pmf at k makes tail P(Po(lam) > k - 1)
+    for term in reversed(terms):
+        tail += term
+        if not tail < TAIL_MASS_GATE:
+            break
+        k -= 1
+    if k > _MAX_TRUNCATION_K:
+        raise TruncationError(f"no truncation index below {_MAX_TRUNCATION_K} for lambda={lam}")
+    return k
 
 
 def check_truncation(lam: float, k: int) -> None:
-    tail = poisson_tail_mass(lam, k)
-    if not tail < TAIL_MASS_GATE:
-        raise TruncationError(f"tail mass beyond K={k} is {tail:.3e} >= {TAIL_MASS_GATE}")
+    index = truncation_index(lam)
+    if k < index:
+        raise TruncationError(f"K={k} is below the truncation index {index} of lambda={lam}")
 
 
 def alloc_cov(lam: float, i: int, j: int) -> float:
@@ -210,13 +191,7 @@ def weiss_variance(lam: float) -> float:
     """Limit variance of the standardized number of empty boxes."""
     if lam <= 0.0:
         raise CondCltError(f"lambda must be positive, got {lam}")
-    out = math.exp(-lam) - math.exp(-2 * lam) - lam * math.exp(-2 * lam)
-    # Cross-check: condition (N_0, S) on the total S.
-    e = math.exp(-lam)
-    alt = float(gauss_cond.schur_complement([[e * (1.0 - e), -lam * e], [-lam * e, lam]])[0, 0])
-    if abs(out - alt) > 1e-14 * max(1.0, abs(out)):
-        raise CondCltError(f"Weiss variance {out!r} != conditioning route {alt!r}")
-    return out
+    return math.exp(-lam) - math.exp(-2 * lam) - lam * math.exp(-2 * lam)
 
 
 class SpacingsConstants(NamedTuple):
@@ -236,31 +211,25 @@ def spacings_limit_constants(a: float) -> SpacingsConstants:
     sxy = a * e
     sy2 = 1.0
     residual = float(gauss_cond.schur_complement([[sx2, sxy], [sxy, sy2]])[0, 0])
-    closed = e - e * e - a * a * e * e
-    if abs(residual - closed) > 1e-14 * max(1.0, abs(closed)):
-        raise CondCltError(f"spacings residual {residual!r} != closed form {closed!r}")
     return SpacingsConstants(sx2, sxy, sy2, residual)
 
 
-def edge_stat_moments(lam: float, k_max: int) -> tuple[np.ndarray, float]:
-    """Truncated covariance vector Cov(U_k, V) and variance Var(V) of the
-    standardized edge statistic V = (1/2) sum_k k U_k under G(n, p)."""
+def gnp_edge_joint_cov(lam: float, k_max: int) -> np.ndarray:
+    """Truncated limit covariance of (U_0..U_K, V) under G(n, p), where
+    V = (1/2) sum_k k U_k is the standardized edge statistic: the G(n, p)
+    matrix Sigma bordered by Cov(U, V) = Sigma k / 2 and Var(V) = k Sigma k / 4."""
     check_truncation(lam, k_max)
     sigma = theory_cov_matrix(GNP, lam, k_max).matrix
     ks = np.arange(k_max + 1, dtype=float)
-    cov_with_v = 0.5 * sigma @ ks
-    var_v = float(0.25 * ks @ sigma @ ks)
-    return cov_with_v, var_v
+    joint = np.empty((k_max + 2, k_max + 2))
+    joint[:-1, :-1] = sigma
+    joint[:-1, -1] = joint[-1, :-1] = 0.5 * sigma @ ks
+    joint[-1, -1] = 0.25 * ks @ sigma @ ks
+    return joint
 
 
 def gnm_cov_via_conditioning(lam: float, k_max: int) -> np.ndarray:
-    """Condition the G(n,p) limit covariance on the edge statistic.
-
-    The joint covariance of (U_0..U_K, V) is Sigma bordered by
-    edge_stat_moments; its Schur complement on V reproduces the G(n, m)
-    covariance matrix.
-    """
-    cov_with_v, var_v = edge_stat_moments(lam, k_max)
-    sigma = theory_cov_matrix(GNP, lam, k_max).matrix
-    joint = np.vstack([np.column_stack([sigma, cov_with_v]), np.append(cov_with_v, var_v)])
-    return gauss_cond.schur_complement(joint)
+    """Condition the G(n,p) limit covariance on the edge statistic: the Schur
+    complement of gnp_edge_joint_cov on V reproduces the G(n, m) covariance
+    matrix."""
+    return gauss_cond.schur_complement(gnp_edge_joint_cov(lam, k_max))

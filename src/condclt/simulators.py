@@ -46,10 +46,15 @@ def _decode_pairs(n: int, idx: np.ndarray) -> np.ndarray:
       at least b/4 (the subtraction is then exact), and 1.5 * 2**-28 below
       that, where the gap is about 4/b: more than 5x short of the gap.
     Truncation of the non-negative result is then its floor.  Above the bound
-    the discriminant is rounded once from its exact int64 value, and two
-    integer passes move i by one row either way where it is off.  Returns the
-    (2, len(idx)) int64 endpoint array with rows i and j; the float scratch
-    and the row starts live in row j."""
+    the discriminant is rounded once from its exact int64 value, and one
+    integer pass moves i down a row where it is one row too high.  It is never
+    too low: at a row start the float root of (b - 2i)^2 / 4 is still exactly
+    (b - 2i) / 2, since (b - 2i)^2 rounds by at most 2**-53 relative, which
+    moves its root by less than half a unit in the last place of (b - 2i) / 2;
+    and every later step (int to float, times 1/4, sqrt, subtraction,
+    truncation) is monotone, so an idx past a row start decodes to that row
+    or above.  Returns the (2, len(idx)) int64 endpoint array with rows i and
+    j; the float scratch and the row starts live in row j."""
     b = 2 * n - 1
     exact = b * b < 1 << 53
     ends = np.empty((2, len(idx)), dtype=np.int64)
@@ -72,10 +77,6 @@ def _decode_pairs(n: int, idx: np.ndarray) -> np.ndarray:
         off = j <= i                        # row_start(i) > idx: one row too high
         if off.any():
             i -= off
-            _column(b, idx, i, j)
-        np.greater_equal(j, n, out=off)     # idx >= row_start(i + 1): one row too low
-        if off.any():
-            i += off
             _column(b, idx, i, j)
     return ends
 

@@ -24,6 +24,12 @@ class TestAnalyticSubcommands:
         out = capsys.readouterr().out
         assert "transfer: PASS" in out
 
+    def test_transfer_at_small_lambda(self, capsys):
+        # the conditioned trace is about lam^2 / 2, below the rounding debris
+        # of the lam-sized G(n, p) matrix; the PSD floor is relative to the latter
+        assert run_cli("transfer", "--lam", "1e-4") == cli.EXIT_OK
+        assert "transfer: PASS" in capsys.readouterr().out
+
     def test_monotone_passes(self, capsys):
         assert run_cli("monotone", "--n", "5", "--max-m", "8") == cli.EXIT_OK
         assert "monotone: PASS (32/32 checks passed, wall = " in capsys.readouterr().out

@@ -102,7 +102,7 @@ class TestResidualVariance:
 
 
 class TestResultPsd:
-    """The result's own symmetry and PSD-floor check, and its clamp."""
+    """The result's PSD floor, relative to the trace of Cov(X), and its clamp."""
 
     def test_psd_cov_is_kept(self):
         cov = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -116,8 +116,8 @@ class TestResultPsd:
         assert np.abs(out - cov).max() < 1e-11
 
     def test_below_floor_raises(self):
-        # A large Var(Y) widens the joint's floor past the eigenvalue -1e-3,
-        # which the result's own floor still rejects.
+        # A large Var(Y) would widen a floor relative to the joint's trace
+        # past the eigenvalue -1e-3; the floor relative to Cov(X) rejects it.
         cov = np.array([[1.0, 0.0], [0.0, -1e-3]])
         with pytest.raises(CondCltError, match="below the PSD floor"):
             gc.schur_complement(with_independent_y(cov, var_y=1e8))
@@ -129,7 +129,7 @@ class TestResultPsd:
             monkeypatch.setattr(np.linalg, name,
                                 lambda a, real=real, name=name: calls.append(name) or real(a))
         gc.schur_complement(np.eye(4))
-        assert calls == ["eigvalsh", "eigh"]     # the joint's check, the result's clamp
+        assert calls == ["eigh"]     # the result's floor and clamp
 
 
 def random_psd_joint(rng, d):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import pdtrc
 
+from condclt import gauss_cond
 from condclt import limit_theory as lt
 from condclt.errors import CondCltError, TruncationError
 
@@ -102,32 +103,40 @@ class TestPoissonPmf:
 
 
 class TestPoissonTail:
+    """truncation_index and check_truncation against scipy's pdtrc, P(Po(lam) > k)."""
+
     @pytest.mark.parametrize("lam,k", [(0.5, 10), (0.5, 0), (1.0, 5), (2.0, 18),
                                        (4.0, 25), (17.0, 40)])
     def test_matches_direct_tail_sum(self, lam, k):
         direct = math.fsum(lt.poisson_pmf(lam, j) for j in range(k + 1, k + 401))
-        assert lt.poisson_tail_mass(lam, k) == pytest.approx(direct, rel=1e-12, abs=0)
+        if direct < lt.TAIL_MASS_GATE:
+            lt.check_truncation(lam, k)
+        else:
+            with pytest.raises(TruncationError, match="below the truncation index"):
+                lt.check_truncation(lam, k)
 
     @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0, 4.0, 10.0, 50.0, 200.0])
     def test_matches_scipy_pdtrc(self, lam):
         for k in range(int(3 * lam) + 61):
-            ref = float(pdtrc(k, lam))
-            if ref > 1e-300:
-                assert lt.poisson_tail_mass(lam, k) == pytest.approx(ref, rel=1e-12, abs=0)
+            if pdtrc(k, lam) < lt.TAIL_MASS_GATE:
+                lt.check_truncation(lam, k)
+            else:
+                with pytest.raises(TruncationError):
+                    lt.check_truncation(lam, k)
 
     def test_negative_k_is_whole_mass(self):
-        assert lt.poisson_tail_mass(3.0, -1) == 1.0
+        with pytest.raises(TruncationError):
+            lt.check_truncation(3.0, -1)
 
     def test_truncation_index_is_smallest(self):
-        for lam in [0.1, 0.5, 1.0, 2.0, 4.0, 7.3, 20.0, 1e3]:
+        for lam in np.geomspace(0.1, 2000.0, 500):
             k = lt.truncation_index(lam)
-            assert lt.poisson_tail_mass(lam, k) < lt.TAIL_MASS_GATE
-            assert k == 0 or lt.poisson_tail_mass(lam, k - 1) >= lt.TAIL_MASS_GATE
+            assert pdtrc(k, lam) < lt.TAIL_MASS_GATE <= pdtrc(k - 1, lam)
 
     def test_truncation_index_matches_linear_scan(self):
-        for lam in np.linspace(0.1, 20.0, 40):
-            k = next(k for k in range(10_001)
-                     if lt.poisson_tail_mass(lam, k) < lt.TAIL_MASS_GATE)
+        # small lambdas, down to an index of 0
+        for lam in np.geomspace(1e-14, 0.1, 40):
+            k = next(k for k in range(10_001) if pdtrc(k, lam) < lt.TAIL_MASS_GATE)
             assert lt.truncation_index(lam) == k
 
     def test_truncation_index_cap_raises_fast(self):
@@ -135,6 +144,14 @@ class TestPoissonTail:
         with pytest.raises(TruncationError):
             lt.truncation_index(1e5)
         assert time.perf_counter() - start < 1.0
+
+    def test_cap_raises_where_the_tail_beyond_10000_is_not_small(self):
+        for lam in np.linspace(9000.0, 10_000.0, 21):
+            if pdtrc(10_000, lam) < lt.TAIL_MASS_GATE:
+                assert lt.truncation_index(lam) <= 10_000
+            else:
+                with pytest.raises(TruncationError, match="no truncation index below 10000"):
+                    lt.truncation_index(lam)
 
 
 class TestAllocCov:
@@ -249,12 +266,13 @@ class TestWeissVariance:
         with pytest.raises(CondCltError, match="lambda must be positive"):
             lt.weiss_variance(0.0)
 
-    def test_cross_check_raises(self, monkeypatch):
-        monkeypatch.setattr(lt.gauss_cond, "schur_complement", lambda cov: np.array([[0.5]]))
-        with pytest.raises(CondCltError, match="Weiss variance .* != conditioning route"):
-            lt.weiss_variance(1.0)
-        with pytest.raises(CondCltError, match="spacings residual .* != closed form"):
-            lt.spacings_limit_constants(1.0)
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 1.0, 3.0, 20.0])
+    def test_matches_conditioning_route(self, lam):
+        # condition (N_0, S) on the total S
+        e = math.exp(-lam)
+        joint = [[e * (1.0 - e), -lam * e], [-lam * e, lam]]
+        route = float(gauss_cond.schur_complement(joint)[0, 0])
+        assert lt.weiss_variance(lam) == pytest.approx(route, abs=1e-14)
 
 
 class TestSpacingsConstants:
@@ -284,27 +302,31 @@ class TestLincombVariance:
 
 
 class TestEdgeStatMoments:
+    """Cov(U, V) and Var(V), the border of gnp_edge_joint_cov."""
+
     def test_var_v(self):
-        _, var_v = lt.edge_stat_moments(2.0, 60)
-        assert var_v == pytest.approx(1.0, abs=1e-9)
+        assert lt.gnp_edge_joint_cov(2.0, 60)[-1, -1] == pytest.approx(1.0, abs=1e-9)
 
     def test_cov_with_v_entry(self):
-        cov_v, _ = lt.edge_stat_moments(2.0, 60)
-        assert cov_v[0] == pytest.approx(-2 * E**-2, abs=1e-9)
+        joint = lt.gnp_edge_joint_cov(2.0, 60)
+        assert joint[0, -1] == joint[-1, 0] == pytest.approx(-2 * E**-2, abs=1e-9)
 
     def test_bilinearity(self):
-        cov_v, var_v = lt.edge_stat_moments(2.0, 60)
-        ks = np.arange(61)
-        assert float(cov_v @ ks) == pytest.approx(2 * var_v, abs=1e-9)
+        joint = lt.gnp_edge_joint_cov(2.0, 60)
+        assert float(joint[:-1, -1] @ np.arange(61)) == pytest.approx(2 * joint[-1, -1],
+                                                                      abs=1e-9)
 
     def test_truncation_gate(self):
         with pytest.raises(TruncationError):
-            lt.edge_stat_moments(4.0, 10)
+            lt.gnp_edge_joint_cov(4.0, 10)
 
 
 class TestTransferIdentity:
-    @pytest.mark.parametrize("lam", LAMBDAS)
+    # at lam = 1e-4 the conditioned trace cancels to about lam^2 / 2, far
+    # below the rounding debris of the lam-sized G(n, p) matrix
+    @pytest.mark.parametrize("lam", [*LAMBDAS, 1e-4])
     def test_conditioned_gnp_matches_gnm(self, lam):
-        conditioned = lt.gnm_cov_via_conditioning(lam, 60)
-        target = lt.theory_cov_matrix(lt.GNM, lam, 60).matrix
-        assert np.abs(conditioned - target).max() < 1e-10
+        for k_max in (lt.truncation_index(lam), 60):
+            conditioned = lt.gnm_cov_via_conditioning(lam, k_max)
+            target = lt.theory_cov_matrix(lt.GNM, lam, k_max).matrix
+            assert np.abs(conditioned - target).max() < 1e-10

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condclt import monotone, simulators as sim
+from condclt import mc_engine, monotone, simulators as sim
 from condclt.errors import CondCltError
 from exact_laws import enumerated_law, g_test_pvalue, sampled_rows
 
@@ -236,8 +236,10 @@ class TestDecodePairs:
     # Up to n = 47,453,133 the discriminant (2n-1)^2 - 8 idx stays below 2**53
     # and the float decode is exact with no fix-up; from n = 47,453,134 on it
     # can round in float64 and the guarded fix-up runs: at n = 1e9 the row
-    # before each row start decodes one row too high before it.
-    @pytest.mark.parametrize("n", [10**6, 3 * 10**6, 47_453_133, 47_453_134, 10**9])
+    # before each row start decodes one row too high before it.  No idx
+    # decodes one row too low, up to the largest graph n.
+    @pytest.mark.parametrize("n", [10**6, 3 * 10**6, 47_453_133, 47_453_134, 10**9,
+                                   mc_engine.MAX_GRAPH_N])
     def test_round_trip_large_n(self, n):
         idx = _boundary_indices(n)
         ends = sim._decode_pairs(n, idx)
