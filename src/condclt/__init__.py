@@ -6,7 +6,7 @@ Subpackages:
   complement of its variance).
 - ``limit_theory``: closed-form limit covariances for random allocations and
   for vertex degrees in G(n,p) / G(n,m), Weiss's empty-box variance,
-  spacings constants, edge-statistic moments.
+  spacings constants, and ``gnp_edge_joint_cov``'s degree/edge-statistic covariance.
 - ``simulators``: one exact finite-n replicate sampler per model.
 - ``monotone``: desk-scale exact stochastic-monotonicity verification.
 - ``mc_engine``: replicated Monte Carlo harness with mergeable moment

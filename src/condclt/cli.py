@@ -2,8 +2,9 @@
 
 One experiment per invocation; reports are written as a JSON document
 (structured format) and optionally as a flat CSV table.  Exit codes:
-0 = all gates passed, 1 = a gate failed, 2 = configuration error,
-3 = internal numeric error, I/O failure or out of memory.
+0 = all gates passed, 1 = a gate failed, 2 = configuration error (a ValueError
+or CondCltError before the run), 3 = the same raised while the experiment
+runs, an I/O failure or out of memory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, cwold, limit_theory, mc_engine, monotone
-from .errors import CondCltError, TruncationError
+from .errors import CondCltError
 
 EXIT_OK = 0
 EXIT_GATE_FAILURE = 1
@@ -36,10 +37,6 @@ MIN_TOTAL_COUNT = 20        # fewest expected counts of a marginal over all repl
 MAX_TRANSFER_K = 2000
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _read_config_file(path: str) -> dict:
     values = {}
     try:
@@ -49,11 +46,11 @@ def _read_config_file(path: str) -> dict:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, val = line.partition("=")
                 values[key.strip()] = val.strip()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     return values
 
 
@@ -173,12 +170,15 @@ def _point_mass_ks(model: str, params: dict) -> list[int]:
 
 
 def check_args(args) -> None:
-    """Reject, with a ValueError (a TruncationError where lambda_n has no
+    """Reject, with a ValueError (a CondCltError where lambda_n has no
     truncation index), arguments the chosen experiment cannot run with, before
     anything runs or is allocated."""
     if args.experiment in mc_engine.EXPERIMENT_MODELS:
         params = _params(args)
         mc_engine.check_params(args.experiment, params, args.seed)
+        if not mc_engine.MIN_REPS <= args.reps < mc_engine.INT64_END:
+            raise ValueError(f"reps must be >= {mc_engine.MIN_REPS} and below 2**63, "
+                             f"got {args.reps}")
         if args.experiment == "spacings":
             # e^-a underflows to 0 for a >= 746 (and rounds to 1 for tiny a): the
             # residual variance is then 0, and every z would compare 0 with 0
@@ -209,8 +209,6 @@ def check_args(args) -> None:
                 raise ValueError(f"k = {fixed[0]}: the count takes one value at these "
                                  f"parameters, so its z is inf; lower max_k or change n, m "
                                  f"or p")
-        if args.reps < mc_engine.MIN_REPS:
-            raise ValueError(f"reps must be >= {mc_engine.MIN_REPS}, got {args.reps}")
         if args.experiment != "spacings":
             # a marginal expected fewer than MIN_TOTAL_COUNT times over all the
             # replicates together reads 0 in every one of them with probability
@@ -230,12 +228,16 @@ def check_args(args) -> None:
         if not 1 <= args.workers <= cpus:
             raise ValueError(f"workers must be in [1, {cpus}], got {args.workers}")
     elif args.experiment == "transfer":
-        if not 0.0 < args.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {args.lam}")
-        k_min = limit_theory.truncation_index(args.lam)
+        # at a subnormal lam the O(lam) entries lose precision: at 5e-324 Var(V) is 0
+        if not sys.float_info.min <= args.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, at least "
+                             f"{sys.float_info.min:.1e}, got {args.lam}")
+        # at K = 0 the edge statistic (1/2) sum_k k U_k is 0, with Var 0
+        k_min = max(1, limit_theory.truncation_index(args.lam))
         if not k_min <= args.K <= MAX_TRANSFER_K:
-            raise ValueError(f"K must be >= {k_min}, where the Poisson({args.lam}) tail "
-                             f"mass falls below {limit_theory.TAIL_MASS_GATE:g}, and at most "
+            raise ValueError(f"K must be >= {k_min}, the larger of 1 and the index where "
+                             f"the Poisson({args.lam}) tail mass falls below "
+                             f"{limit_theory.TAIL_MASS_GATE:g}, and at most "
                              f"{MAX_TRANSFER_K}; got {args.K}")
     elif args.experiment == "monotone":
         if not 2 <= args.n <= monotone.DESK_MAX_N:
@@ -350,23 +352,15 @@ def main(argv=None) -> int:
     try:
         path = _config_path(argv)
         config = _read_config_file(path) if path else {}
-    except ConfigError as exc:
-        print(f"condclt: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    try:
         args = build_parser(config).parse_args(argv)
+        # a key is known when the chosen subcommand defines its option
+        unknown = sorted(config.keys() - (vars(args).keys() - {"config", "experiment"}))
+        if unknown:
+            raise ValueError(f"{args.experiment} takes no config key {', '.join(unknown)}")
+        check_args(args)
     except SystemExit as exc:
         return EXIT_CONFIG_ERROR if exc.code not in (0, None) else 0
-    # a key is known when the chosen subcommand defines its option
-    unknown = sorted(config.keys() - (vars(args).keys() - {"config", "experiment"}))
-    if unknown:
-        print(f"condclt: config error: {args.experiment} takes no config key "
-              f"{', '.join(unknown)}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
-    try:
-        check_args(args)
-    except (ValueError, TruncationError) as exc:
+    except (ValueError, CondCltError) as exc:
         print(f"condclt: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
@@ -381,7 +375,7 @@ def main(argv=None) -> int:
                              "python": sys.version.split()[0], "seed": report.seed,
                              "workers": getattr(args, "workers", 1), "argv": argv}
         emit_report(report, args.out, args.table)
-    except (CondCltError, OSError) as exc:
+    except (CondCltError, OSError, ValueError) as exc:
         print(f"condclt: numeric/IO error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_ERROR
     except MemoryError as exc:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gauss_cond
-from .errors import CondCltError, TruncationError
+from .errors import CondCltError
 
 TAIL_MASS_GATE = 1e-12
 _MAX_TRUNCATION_K = 10_000
@@ -93,7 +93,7 @@ def truncation_index(lam: float) -> int:
     exceeds 2**-60 of the gate; the tails are then summed from the far end.
     """
     if not lam < _MAX_TRUNCATION_K:
-        raise TruncationError(f"no truncation index below {_MAX_TRUNCATION_K} for lambda={lam}")
+        raise CondCltError(f"no truncation index below {_MAX_TRUNCATION_K} for lambda={lam}")
     j = math.floor(lam) + 1
     term = poisson_pmf(lam, j)
     terms = [term]
@@ -109,14 +109,14 @@ def truncation_index(lam: float) -> int:
             break
         k -= 1
     if k > _MAX_TRUNCATION_K:
-        raise TruncationError(f"no truncation index below {_MAX_TRUNCATION_K} for lambda={lam}")
+        raise CondCltError(f"no truncation index below {_MAX_TRUNCATION_K} for lambda={lam}")
     return k
 
 
 def check_truncation(lam: float, k: int) -> None:
     index = truncation_index(lam)
     if k < index:
-        raise TruncationError(f"K={k} is below the truncation index {index} of lambda={lam}")
+        raise CondCltError(f"K={k} is below the truncation index {index} of lambda={lam}")
 
 
 def alloc_cov(lam: float, i: int, j: int) -> float:
@@ -168,7 +168,9 @@ def theory_cov_matrix(model: str, lam: float, k_max: int) -> TheoryCovariance:
     pi = np.array([poisson_pmf(lam, k) for k in range(k_max + 1)])
     u = pi * (np.arange(k_max + 1) - lam)
     sign = 1.0 if model == GNP else -1.0
-    mat = np.diag(pi) - np.outer(pi, pi) + sign * np.outer(u, u) / lam
+    mat = np.diag(pi) - np.outer(pi, pi)
+    mat[0, 0] = pi[0] * -math.expm1(-lam)      # pi_0 - pi_0^2 cancels at small lam
+    mat += sign * np.outer(u, u) / lam
     return TheoryCovariance(mat)
 
 
@@ -207,7 +209,7 @@ def spacings_limit_constants(a: float) -> SpacingsConstants:
     if a <= 0.0:
         raise CondCltError(f"a must be positive, got {a}")
     e = math.exp(-a)
-    sx2 = e * (1.0 - e)
+    sx2 = e * -math.expm1(-a)       # 1 - e keeps none of its value at tiny a
     sxy = a * e
     sy2 = 1.0
     residual = float(gauss_cond.schur_complement([[sx2, sxy], [sxy, sy2]])[0, 0])

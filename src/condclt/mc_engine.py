@@ -28,6 +28,7 @@ MIN_REPS = 100              # fewest replicates compare_to_theory accepts
 KS_MIN_REPS = 1000          # fewest samples normality_distance accepts
 STREAM_BLOCK = 1024         # replicate streams derived together
 MAX_GRAPH_N = 1_518_500_250     # largest n with (2n-1)^2 < 2**63; C(n,2) is smaller
+INT64_END = 1 << 63             # n, m and reps stay below it: numpy draws and sizes in int64
 # glibc gives the top of its heap back to the kernel once more than twice its
 # mmap threshold lies free there, so each replicate with megabyte-sized arrays
 # faulted its pages in anew (798 minor faults per gnm replicate at
@@ -171,10 +172,10 @@ def check_params(model: str, params: dict, seed: int) -> None:
     if model not in EXPERIMENT_MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {EXPERIMENT_MODELS}")
     n = params["n"]
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if model in ("alloc", "gnm") and params["m"] < 0:
-        raise ValueError(f"m must be >= 0, got {params['m']}")
+    if not 1 <= n < INT64_END:
+        raise ValueError(f"n must be >= 1 and below 2**63, got {n}")
+    if model in ("alloc", "gnm") and not 0 <= params["m"] < INT64_END:
+        raise ValueError(f"m must be >= 0 and below 2**63, got {params['m']}")
     if model == "gnm" and params["m"] > n * (n - 1) // 2:
         raise ValueError(f"m = {params['m']} exceeds C(n,2) = {n * (n - 1) // 2}")
     # the edge draw and its decode hold C(n,2) and (2n-1)^2 in int64

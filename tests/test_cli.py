@@ -12,6 +12,7 @@ import pytest
 
 import condclt
 from condclt import cli, limit_theory, mc_engine, monotone, simulators
+from condclt.errors import CondCltError
 
 
 def run_cli(*argv):
@@ -24,10 +25,12 @@ class TestAnalyticSubcommands:
         out = capsys.readouterr().out
         assert "transfer: PASS" in out
 
-    def test_transfer_at_small_lambda(self, capsys):
+    @pytest.mark.parametrize("lam", ["1e-4", "1e-8", "1e-300"])
+    def test_transfer_at_small_lambda(self, lam, capsys):
         # the conditioned trace is about lam^2 / 2, below the rounding debris
-        # of the lam-sized G(n, p) matrix; the PSD floor is relative to the latter
-        assert run_cli("transfer", "--lam", "1e-4") == cli.EXIT_OK
+        # of the lam-sized G(n, p) matrix; the PSD floor is relative to the latter,
+        # and its (0, 0) entry pi_0 (1 - pi_0) keeps its O(lam) value
+        assert run_cli("transfer", "--lam", lam) == cli.EXIT_OK
         assert "transfer: PASS" in capsys.readouterr().out
 
     def test_monotone_passes(self, capsys):
@@ -337,6 +340,22 @@ class TestArgumentErrors:
         assert "condclt: out of memory: Unable to allocate" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_array_too_big_exits_3(self, capsys):
+        # numpy refuses the (reps, max_k + 1) sample matrix with a ValueError
+        code = run_cli("alloc", "--n", "100", "--m", "100", "--reps", str(2**62))
+        assert code == cli.EXIT_NUMERIC_ERROR
+        captured = capsys.readouterr()
+        assert "condclt: numeric/IO error: array is too big" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_condclt_error_before_the_run_is_config_error(self, capsys, monkeypatch):
+        # the phase, not the exception class, sets the exit code
+        def check_args(args):
+            raise CondCltError("no truncation index")
+        monkeypatch.setattr(cli, "check_args", check_args)
+        assert run_cli("transfer") == cli.EXIT_CONFIG_ERROR
+        assert "condclt: config error: no truncation index" in capsys.readouterr().err
+
     def test_too_many_edges_is_config_error(self, capsys):
         # m exceeding C(n,2) is rejected before any replicate, not a traceback.
         code = run_cli("gnm", "--n", "4", "--m", "100", "--reps", "200")
@@ -385,6 +404,14 @@ class TestArgumentErrors:
          "n must be at most 1518500250"),
         (("gnp", "--n", "1518500251", "--p", "1e-9", "--max-k", "1"),
          "n must be at most 1518500250"),
+        # n or m past int64: no float, division or numpy draw can hold them
+        (("alloc", "--n", str(10**400), "--m", str(10**400)), "n must be >= 1 and below 2**63"),
+        (("alloc", "--n", "1", "--m", str(10**400)), "m must be >= 0 and below 2**63"),
+        (("spacings", "--n", str(10**400)), "n must be >= 1 and below 2**63"),
+        (("alloc", "--n", str(10**19), "--m", str(10**19)), "n must be >= 1 and below 2**63"),
+        # 1 - e^-a rounds to 0 (or to a few ulps) at tiny a; expm1 keeps it
+        (("spacings", "--n", "1000", "--a", "1e-17"), "got 1e+03 and 1e-14"),
+        (("spacings", "--n", "1000", "--a", "1e-150"), "got 1e+03 and 1e-147"),
     ], ids=["n-zero", "m-negative", "p-above-one", "a-zero", "max-k-negative",
             "seed-negative", "alloc-no-balls", "gnm-no-edges", "gnp-p-zero",
             "a-underflows", "a-infinite", "a-no-exceedances", "a-huge", "a-tiny",
@@ -392,7 +419,8 @@ class TestArgumentErrors:
             "lambda-no-index", "max-k-never-counted", "gnm-max-k-never-counted",
             "max-k-below-count-bound", "gnp-degree-past-n", "gnm-degree-past-m",
             "gnm-one-edge", "gnm-complete-less-one", "gnp-one-vertex", "alloc-one-ball",
-            "gnm-n-huge", "gnp-n-past-int64"])
+            "gnm-n-huge", "gnp-n-past-int64", "alloc-n-m-past-int64", "alloc-m-past-int64",
+            "spacings-n-past-int64", "alloc-n-m-1e19", "a-1e-17", "a-1e-150"])
     def test_bad_parameter_is_config_error(self, argv, message, capsys, monkeypatch):
         # rejected before anything is allocated or run
         monkeypatch.setattr(mc_engine, "run_experiment", None)
@@ -431,6 +459,35 @@ class TestArgumentErrors:
     def test_parameter_at_its_bound_is_accepted(self, argv):
         cli.check_args(cli.build_parser().parse_args([*argv, "--reps", "200"]))
 
+    @pytest.mark.parametrize("experiment", ["alloc", "gnp", "gnm", "spacings", "transfer",
+                                            "monotone"])
+    def test_extreme_values_raise_only_config_errors(self, experiment):
+        # main maps a ValueError or CondCltError from check_args to exit 2; any
+        # other exception would be a traceback.  Each option takes its usual
+        # value or, at random, an extreme one of its type; nothing runs
+        options = {"alloc": ("--n", "--m", "--max-k"), "gnp": ("--n", "--p", "--max-k"),
+                   "gnm": ("--n", "--m", "--max-k"), "spacings": ("--n", "--a"),
+                   "transfer": ("--lam", "--K"), "monotone": ("--n", "--max-m")}[experiment]
+        usual = {"--n": "100", "--m": "100", "--p": "0.02", "--max-k": "3", "--a": "1.0",
+                 "--lam": "2.0", "--K": "60", "--max-m": "4", "--seed": "0",
+                 "--reps": "200", "--z-gate": "4", "--ks-gate": "0.05", "--workers": "1"}
+        ints = ["0", "-1", str(2**63), str(10**400)]
+        floats = [*ints, "nan", "inf", "-inf", "5e-324", "1e-17"]
+        if experiment in mc_engine.EXPERIMENT_MODELS:
+            options += ("--seed", "--reps", "--z-gate", "--ks-gate", "--workers")
+        parser, rng = cli.build_parser(), np.random.default_rng(22)
+        for _ in range(400):
+            argv = [experiment]
+            for option in options:
+                pool = floats if option in ("--p", "--a", "--lam", "--z-gate",
+                                            "--ks-gate") else ints
+                value = usual[option] if rng.random() < 0.5 else pool[rng.integers(len(pool))]
+                argv.append(f"{option}={value}")       # "-inf" is not taken for a flag
+            try:
+                cli.check_args(parser.parse_args(argv))
+            except (ValueError, CondCltError):
+                pass
+
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_workers_out_of_range_is_config_error(self, workers, capsys, monkeypatch):
         # rejected before any pool starts: a pool would fail this test
@@ -458,7 +515,10 @@ class TestArgumentErrors:
         (("cwold", "--T", "1e308"), "unrecognized arguments: --T 1e308"),
         (("cwold", "--grid", "1e-300"), "unrecognized arguments: --grid 1e-300"),
         (("transfer", "--lam", "0"), "lam must be positive"),
+        (("transfer", "--lam", "5e-324"), "at least 2.2e-308, got 5e-324"),
         (("transfer", "--K", "3"), "K must be >= 18"),
+        # at K = 0 the edge statistic is 0: the bound is 1, not the index 0
+        (("transfer", "--lam", "1e-13", "--K", "0"), "K must be >= 1, the larger of 1"),
         (("transfer", "--K", "10000000"), "and at most 2000; got 10000000"),
         (("transfer", "--seed", "1"), "unrecognized arguments: --seed 1"),
         (("monotone", "--n", "9"), "n must be in [2, 8]"),
@@ -466,6 +526,10 @@ class TestArgumentErrors:
         (("monotone", "--max-m", "0"), "max_m must be in [1, 12]"),
         (("alloc", "--n", "100", "--m", "100", "--reps", "1"), "reps must be >= 100"),
         (("alloc", "--n", "100", "--m", "100", "--reps", "50"), "reps must be >= 100"),
+        *[((model, "--n", "100", other, value, "--reps", str(10**400)),
+           "reps must be >= 100 and below 2**63")
+          for model, other, value in (("alloc", "--m", "100"), ("gnp", "--p", "0.02"),
+                                      ("gnm", "--m", "100"))],
         *[(("alloc", "--n", "100", "--m", "100", flag, value),
            f"{flag[2:].replace('-', '_')} must be positive and finite")
           for flag in ("--z-gate", "--ks-gate") for value in ("nan", "inf", "0", "-1")],
@@ -473,8 +537,10 @@ class TestArgumentErrors:
            "ks_gate must be positive and finite and below 1")
           for value in ("1", "2")],
     ], ids=["grid-zero", "T-negative", "T-infinite", "grid-infinite", "T-huge", "grid-tiny",
-            "lam-zero", "K-below-truncation", "K-huge", "transfer-seed", "monotone-n-nine",
-            "monotone-n-one", "max-m-zero", "reps-one", "reps-fifty",
+            "lam-zero", "lam-subnormal", "K-below-truncation", "K-zero", "K-huge",
+            "transfer-seed", "monotone-n-nine", "monotone-n-one", "max-m-zero", "reps-one",
+            "reps-fifty",
+            *[f"{model}-reps-past-int64" for model in ("alloc", "gnp", "gnm")],
             *[f"{gate}-{value}" for gate in ("z-gate", "ks-gate")
               for value in ("nan", "inf", "zero", "negative")],
             "ks-gate-one", "ks-gate-two"])

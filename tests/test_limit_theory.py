@@ -9,7 +9,7 @@ from scipy.special import pdtrc
 
 from condclt import gauss_cond
 from condclt import limit_theory as lt
-from condclt.errors import CondCltError, TruncationError
+from condclt.errors import CondCltError
 
 E = math.e
 LAMBDAS = [0.5, 1.0, 2.0, 4.0]
@@ -112,7 +112,7 @@ class TestPoissonTail:
         if direct < lt.TAIL_MASS_GATE:
             lt.check_truncation(lam, k)
         else:
-            with pytest.raises(TruncationError, match="below the truncation index"):
+            with pytest.raises(CondCltError, match="below the truncation index"):
                 lt.check_truncation(lam, k)
 
     @pytest.mark.parametrize("lam", [0.1, 0.5, 1.0, 2.0, 4.0, 10.0, 50.0, 200.0])
@@ -121,11 +121,11 @@ class TestPoissonTail:
             if pdtrc(k, lam) < lt.TAIL_MASS_GATE:
                 lt.check_truncation(lam, k)
             else:
-                with pytest.raises(TruncationError):
+                with pytest.raises(CondCltError):
                     lt.check_truncation(lam, k)
 
     def test_negative_k_is_whole_mass(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(CondCltError):
             lt.check_truncation(3.0, -1)
 
     def test_truncation_index_is_smallest(self):
@@ -141,7 +141,7 @@ class TestPoissonTail:
 
     def test_truncation_index_cap_raises_fast(self):
         start = time.perf_counter()
-        with pytest.raises(TruncationError):
+        with pytest.raises(CondCltError):
             lt.truncation_index(1e5)
         assert time.perf_counter() - start < 1.0
 
@@ -150,7 +150,7 @@ class TestPoissonTail:
             if pdtrc(10_000, lam) < lt.TAIL_MASS_GATE:
                 assert lt.truncation_index(lam) <= 10_000
             else:
-                with pytest.raises(TruncationError, match="no truncation index below 10000"):
+                with pytest.raises(CondCltError, match="no truncation index below 10000"):
                     lt.truncation_index(lam)
 
 
@@ -317,7 +317,7 @@ class TestEdgeStatMoments:
                                                                       abs=1e-9)
 
     def test_truncation_gate(self):
-        with pytest.raises(TruncationError):
+        with pytest.raises(CondCltError):
             lt.gnp_edge_joint_cov(4.0, 10)
 
 
