@@ -137,9 +137,7 @@ def _theory_for(model: str, args) -> tuple[np.ndarray, np.ndarray]:
         residual = limit_theory.spacings_limit_constants(args.a).residual
         return np.zeros(1), np.array([[residual]])
     lam = mc_engine.model_lambda_n(model, vars(args))
-    theory_model = {"alloc": limit_theory.ALLOC, "gnp": limit_theory.GNP,
-                    "gnm": limit_theory.GNM}[model]
-    mat = limit_theory.theory_cov_matrix(theory_model, lam, args.max_k).matrix
+    mat = limit_theory.theory_cov_matrix(model, lam, args.max_k).matrix
     return np.zeros(args.max_k + 1), mat
 
 
@@ -171,8 +169,8 @@ def _point_mass_ks(model: str, params: dict) -> list[int]:
 
 def check_args(args) -> None:
     """Reject, with a ValueError (a CondCltError where lambda_n has no
-    truncation index), arguments the chosen experiment cannot run with, before
-    anything runs or is allocated."""
+    truncation index), arguments the chosen experiment cannot run with, and
+    output paths it could not write, before anything runs or is allocated."""
     if args.experiment in mc_engine.EXPERIMENT_MODELS:
         params = _params(args)
         mc_engine.check_params(args.experiment, params, args.seed)
@@ -209,7 +207,6 @@ def check_args(args) -> None:
                 raise ValueError(f"k = {fixed[0]}: the count takes one value at these "
                                  f"parameters, so its z is inf; lower max_k or change n, m "
                                  f"or p")
-        if args.experiment != "spacings":
             # a marginal expected fewer than MIN_TOTAL_COUNT times over all the
             # replicates together reads 0 in every one of them with probability
             # at least e^-MIN_TOTAL_COUNT; its sample variance is then 0 and its z inf
@@ -244,6 +241,23 @@ def check_args(args) -> None:
             raise ValueError(f"n must be in [2, {monotone.DESK_MAX_N}], got {args.n}")
         if not 1 <= args.max_m <= monotone.DESK_MAX_M:
             raise ValueError(f"max_m must be in [1, {monotone.DESK_MAX_M}], got {args.max_m}")
+    # the reports and the dump are written only after the run: a path that
+    # cannot be written, or that two of them share, would lose the whole run
+    written = {}
+    for flag in ("out", "table", "dump"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if not path:
+            raise ValueError(f"--{flag} must name a file, got ''")
+        if os.path.isdir(path):
+            raise ValueError(f"--{flag} {path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"--{flag} {path!r}: its directory does not exist")
+        real = os.path.realpath(path)
+        if real in written:
+            raise ValueError(f"--{written[real]} and --{flag} both name {real}")
+        written[real] = flag
 
 
 def _run_sampling_experiment(args, params: dict) -> mc_engine.VerificationReport:

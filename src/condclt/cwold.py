@@ -98,13 +98,12 @@ def octant_equality_scan(cf_x: CharFnExpr, cf_y: CharFnExpr,
     return float(diff[i, j]), (float(ts[i]), float(ts[j]))
 
 
-def marginal_difference_along(cf_x: CharFnExpr, cf_y: CharFnExpr, direction,
-                              s_max: float = 5.0, h: float = 0.01) -> float:
-    """Max |phi_X - phi_Y| along the line s -> s * direction, s in [-s_max, s_max]."""
+def marginal_difference_along(cf_x: CharFnExpr, cf_y: CharFnExpr, direction) -> float:
+    """Max |phi_X - phi_Y| along s -> s * direction, on a step-0.01 grid of s in [-5, 5]."""
     c1, c2 = float(direction[0]), float(direction[1])
     if c1 == 0.0 and c2 == 0.0:
         raise ValueError("direction must be nonzero")
-    s = np.arange(-s_max, s_max + h / 2, h)
+    s = np.arange(-5.0, 5.0 + 0.01 / 2, 0.01)
     diff = np.abs(eval_cf(cf_x, (s * c1, s * c2)) - eval_cf(cf_y, (s * c1, s * c2)))
     return float(diff.max())
 

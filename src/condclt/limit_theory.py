@@ -29,9 +29,9 @@ _STIRLING_SERIES = ((1, 12), (-1, 360), (1, 1260), (-1, 1680), (1, 1188),
                     (-691, 360360), (1, 156), (-3617, 122400))
 _TWO_PI = decimal.Decimal("6.283185307179586476925286766559005768394")
 
-ALLOC = "ALLOC"
-GNP = "GNP"
-GNM = "GNM"
+ALLOC = "alloc"     # the experiment names of mc_engine and the CLI
+GNP = "gnp"
+GNM = "gnm"
 MODELS = (ALLOC, GNP, GNM)
 
 

@@ -110,30 +110,21 @@ class MomentAccumulator:
         self.comoment += np.outer(delta, x - self.mean)
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Combine two disjoint accumulators; associative and commutative up to
-        float rounding."""
+        """Combine two disjoint accumulators into a new one; associative and
+        commutative up to float rounding.  An empty side's delta terms are 0."""
         if other.dim != self.dim:
             raise CondCltError("accumulator dimensions differ")
-        if other.count == 0:
-            return self._copy()
-        if self.count == 0:
-            return other._copy()
         na, nb = self.count, other.count
         n = na + nb
         out = MomentAccumulator(self.dim)
+        if n == 0:
+            return out
         out.count = n
         delta = other.mean - self.mean
         out.mean = self.mean + delta * (nb / n)
         out.comoment = (
             self.comoment + other.comoment + np.outer(delta, delta) * (na * nb / n)
         )
-        return out
-
-    def _copy(self) -> "MomentAccumulator":
-        out = MomentAccumulator(self.dim)
-        out.count = self.count
-        out.mean = self.mean.copy()
-        out.comoment = self.comoment.copy()
         return out
 
     def covariance(self) -> np.ndarray:
@@ -359,11 +350,8 @@ def run_experiment(model: str, params: dict, reps: int, seed: int, workers: int 
         n_chunks = min(4 * workers, reps)
         bounds = np.linspace(0, reps, n_chunks + 1, dtype=int)
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            futures = [
-                pool.submit(_compute_chunk, model, params, seed, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
+            futures = [pool.submit(_compute_chunk, model, params, seed, int(lo), int(hi))
+                       for lo, hi in zip(bounds[:-1], bounds[1:])]
             chunks = [fut.result() for fut in futures]
     raw = chunks[0][0] if len(chunks) == 1 else np.concatenate([c[0] for c in chunks])
     sampled = clock()

@@ -47,9 +47,7 @@ def from_weights(pairs: dict[float, int]) -> FiniteDistribution:
 
 
 def surjection_count(m: int, b: int) -> int:
-    """Number of surjections from an m-set onto a b-set (inclusion-exclusion)."""
-    if b == 0:
-        return 1 if m == 0 else 0
+    """Surjections from an m-set onto a b-set, by inclusion-exclusion (b = 0: 0**m)."""
     return sum((-1) ** i * math.comb(b, i) * (b - i) ** m for i in range(b + 1))
 
 

@@ -506,6 +506,46 @@ class TestArgumentErrors:
                        "--out", str(out)) == cli.EXIT_OK
         assert cli.parse_report(str(out)).provenance["workers"] == 1
 
+    @pytest.mark.parametrize("case,message", [
+        ("directory", "is a directory"),
+        ("missing-directory", "its directory does not exist"),
+        ("empty", "must name a file, got ''"),
+        ("trailing-separator", "its directory does not exist"),
+    ], ids=["directory", "missing-directory", "empty", "trailing-separator"])
+    @pytest.mark.parametrize("argv,flag", [
+        (("alloc", "--n", "100", "--m", "100", "--reps", "200"), "--out"),
+        (("alloc", "--n", "100", "--m", "100", "--reps", "200"), "--table"),
+        (("alloc", "--n", "100", "--m", "100", "--reps", "200"), "--dump"),
+        (("transfer",), "--table"),
+    ], ids=["out", "table", "dump", "transfer-table"])
+    def test_unwritable_output_path_is_config_error(self, argv, flag, case, message,
+                                                     tmp_path, capsys, monkeypatch):
+        # the paths are written only after the run: rejected before anything runs
+        monkeypatch.setattr(mc_engine, "run_experiment", None)
+        monkeypatch.setattr(cli, "_transfer_checks", None)
+        path = {"directory": str(tmp_path), "missing-directory": str(tmp_path / "no" / "x"),
+                "empty": "", "trailing-separator": str(tmp_path / "x") + os.sep}[case]
+        assert run_cli(*argv, flag, path) == cli.EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"condclt: config error: {flag}")
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,named", [
+        (("--out", "r", "--table", "r"), "--out and --table"),
+        (("--dump", "p", "--out", "./p"), "--out and --dump"),
+    ], ids=["out-table", "dump-out"])
+    def test_two_outputs_naming_one_file_is_config_error(self, flags, named, tmp_path, capsys,
+                                                         monkeypatch):
+        # the later write would replace the earlier, and the run would lose a report
+        monkeypatch.setattr(mc_engine, "run_experiment", None)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("alloc", "--n", "100", "--m", "100", "--reps", "200",
+                       *flags) == cli.EXIT_CONFIG_ERROR
+        real = os.path.realpath(flags[1])
+        assert capsys.readouterr().err == f"condclt: config error: {named} both name {real}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv,message", [
         # the exact decision has no grid: the old scan flags are unknown
         (("cwold", "--grid", "0"), "unrecognized arguments: --grid 0"),

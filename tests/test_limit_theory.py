@@ -202,6 +202,13 @@ class TestDegreeCovs:
             ref = np.array([[entry(lam, i, j) for j in range(61)] for i in range(61)])
             assert np.abs(mat - ref).max() <= 1e-15
 
+    def test_models_are_the_experiment_names(self):
+        # the CLI passes its experiment name straight to theory_cov_matrix
+        assert lt.MODELS == ("alloc", "gnp", "gnm")
+        for lam in LAMBDAS:
+            assert (lt.theory_cov_matrix("gnm", lam, 8).matrix.tobytes()
+                    == lt.theory_cov_matrix(lt.GNM, lam, 8).matrix.tobytes())
+
     def test_rank_one_gap(self):
         # gnp - gnm is the outer product (2/lam) g g^T with g_k = pi(k)(k - lam).
         for lam in LAMBDAS:

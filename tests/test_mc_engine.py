@@ -103,6 +103,14 @@ class TestMomentAccumulator:
         assert out.mean == pytest.approx(acc.mean, abs=0)
         out = mc.MomentAccumulator(2).merge(acc)
         assert out.count == 10
+        assert out.mean.tobytes() == acc.mean.tobytes()
+        assert out.comoment.tobytes() == acc.comoment.tobytes()
+        a, b = mc.MomentAccumulator(3), mc.MomentAccumulator(3)
+        out = a.merge(b)
+        assert (out.count, out.dim) == (0, 3) and out is not a and out is not b
+        out.mean += 1.0
+        out.comoment += 1.0
+        assert not (a.mean.any() or a.comoment.any() or b.mean.any() or b.comoment.any())
 
     @given(
         hnp.arrays(np.float64, (30, 2), elements=st.floats(-50, 50)),

@@ -211,6 +211,8 @@ class TestExactLaws:
         assert mono.surjection_count(3, 2) == 6
         assert mono.surjection_count(4, 4) == math.factorial(4)
         assert mono.surjection_count(2, 3) == 0
+        assert mono.surjection_count(0, 0) == 1
+        assert mono.surjection_count(3, 0) == 0
 
 
 def criterion_7_pairs():
