@@ -178,12 +178,6 @@ def check_args(args) -> None:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS} and below 2**63, "
                              f"got {args.reps}")
         if args.experiment == "spacings":
-            # e^-a underflows to 0 for a >= 746 (and rounds to 1 for tiny a): the
-            # residual variance is then 0, and every z would compare 0 with 0
-            if not (args.a < math.inf
-                    and limit_theory.spacings_limit_constants(args.a).residual > 0.0):
-                raise ValueError(f"the limit law needs a finite a with a positive "
-                                 f"residual variance, got a = {args.a}")
             # below one expected exceedance (or non-exceedance) nearly every
             # count is 0 (or n), and the sample variance is 0
             above = args.n * math.exp(-args.a)
@@ -242,8 +236,9 @@ def check_args(args) -> None:
         if not 1 <= args.max_m <= monotone.DESK_MAX_M:
             raise ValueError(f"max_m must be in [1, {monotone.DESK_MAX_M}], got {args.max_m}")
     # the reports and the dump are written only after the run: a path that
-    # cannot be written, or that two of them share, would lose the whole run
-    written = {}
+    # cannot be written, or that two of them or the config file share, would
+    # lose the whole run or the config
+    written = {os.path.realpath(args.config): "config"} if args.config else {}
     for flag in ("out", "table", "dump"):
         path = getattr(args, flag, None)
         if path is None:

@@ -1,10 +1,9 @@
 """Closed-form limit means, variances and covariances for the three models.
 
 Covers Poisson probabilities, the allocation limit covariance, the G(n,p)
-and G(n,m) degree-count covariances, Weiss's empty-box variance, exact
-finite-n degree means, spacings constants and the joint covariance of the
-degree counts and the edge statistic used for the analytic G(n,p) -> G(n,m)
-transfer.
+and G(n,m) degree-count covariances, Weiss's empty-box variance, spacings
+constants and the joint covariance of the degree counts and the edge
+statistic used for the analytic G(n,p) -> G(n,m) transfer.
 """
 
 from __future__ import annotations
@@ -172,21 +171,6 @@ def theory_cov_matrix(model: str, lam: float, k_max: int) -> TheoryCovariance:
     mat[0, 0] = pi[0] * -math.expm1(-lam)      # pi_0 - pi_0^2 cancels at small lam
     mat += sign * np.outer(u, u) / lam
     return TheoryCovariance(mat)
-
-
-def expected_degree_count_exact(n: int, p: float, k: int) -> float:
-    """Exact finite-n expected number of degree-k vertices in G(n, p)."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0,1), got {p}")
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"k must be in [0, n-1], got {k}")
-    log_term = (
-        math.lgamma(n) - math.lgamma(k + 1) - math.lgamma(n - k)
-        + k * math.log(p) + (n - 1 - k) * math.log1p(-p)
-    )
-    return n * math.exp(log_term)
 
 
 def weiss_variance(lam: float) -> float:

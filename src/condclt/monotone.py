@@ -98,19 +98,7 @@ def quantile_coupling(d1: FiniteDistribution, d2: FiniteDistribution):
              Fraction(b - a, scale)) for a, b in zip([0] + cuts, cuts)]
 
 
-# -- desk-scale exhaustive enumeration oracles ---------------------------------
-
-def enumerate_allocation_counts(n: int, m: int):
-    """All n^m equiprobable throws; returns the (n^m, m+1) matrix of occupancy
-    count vectors (counts[j] = boxes with exactly j balls)."""
-    if n**m > 2_000_000:
-        raise CondCltError(f"n^m = {n**m} too large to enumerate")
-    rows = []
-    for balls in itertools.product(range(n), repeat=m):
-        occ = np.bincount(np.array(balls, dtype=np.int64), minlength=n)
-        rows.append(np.bincount(occ, minlength=m + 1)[: m + 1])
-    return np.array(rows, dtype=np.int64)
-
+# -- desk-scale exact laws of count vectors ------------------------------------
 
 def enumerate_gnm_degree_counts(n: int, m: int):
     """All C(C(n,2), m) equiprobable m-edge graphs; returns the (#graphs, n)
@@ -157,11 +145,3 @@ def functional_law(law: dict[tuple, int], fn) -> FiniteDistribution:
         weights[float(fn(np.array(key)))] += w
     return from_weights(weights)
 
-
-def exact_moments(count_matrix: np.ndarray):
-    """Exact mean vector and covariance matrix over equiprobable outcomes."""
-    x = count_matrix.astype(float)
-    mean = x.mean(axis=0)
-    dev = x - mean
-    cov = dev.T @ dev / len(x)
-    return mean, cov

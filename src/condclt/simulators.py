@@ -5,8 +5,9 @@ edge indices into the C(n,2) pairs and keep only the degree array, so n in
 the 10^5..10^6 range stays cheap.  One sampler per model draws a replicate:
 the load kernels ``allocation_loads`` and ``degree_loads`` return the n box
 loads or vertex degrees, which sum to m or 2m on every draw, and
-``spacing_exceedances`` counts the circular uniform spacings above a/n.  Their
-parameters are checked once, by ``mc_engine.check_params``.
+``spacing_exceedances`` counts the circular uniform spacings above a/n.
+``mc_engine.check_params`` checks their parameters for every experiment; the
+edge draw also rejects m > C(n,2) from a direct caller.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from condclt import cwold, limit_theory as lt, mc_engine as mc, monotone
-from exact_laws import enumerated_law, g_test_pvalue, sampled_rows
+from exact_laws import LAWS, g_test_pvalue, sampled_rows
 
 LAMBDAS = [0.5, 1.0, 2.0, 4.0]
 
@@ -120,14 +121,15 @@ def test_criterion_5_degree_covariances(gnp_run, gnm_run):
 
 def test_criterion_6_exact_small_instance_oracle(tmp_path):
     # The samplers every experiment runs (run_experiment -> degree_loads,
-    # allocation_loads) against full enumeration: a G-test of the count rows,
+    # allocation_loads) against the exact laws, by multinomial weights over
+    # compositions and by graph enumeration: a G-test of the count rows,
     # or, where the law has a single outcome and the G-test no degree of
     # freedom, equality of every row with that outcome.
     start = time.perf_counter()
     pvalues, equal = {}, True
     for model, n, sizes in [("gnm", 4, range(7)), ("alloc", 3, range(5))]:
         for m in sizes:
-            law = enumerated_law(model, n, m)
+            law = LAWS[model](n, m)
             params = {"n": n, "m": m, "max_k": len(next(iter(law))) - 1}
             observed = sampled_rows(model, params, 20_000, 6, tmp_path / "counts.bin")
             if len(law) == 1:
@@ -229,9 +231,9 @@ def test_gnm_means_match_exact_finite_n(gnm_run):
 
 
 def test_gnp_means_match_exact_finite_n(gnp_run):
+    # a vertex meets each of its n - 1 pairs with probability p
     n, p = gnp_run.params["n"], gnp_run.params["p"]
-    exact = [lt.expected_degree_count_exact(n, p, k)
-             for k in range(gnp_run.params["max_k"] + 1)]
+    exact = [n * binom.pmf(k, n - 1, p) for k in range(gnp_run.params["max_k"] + 1)]
     max_z = exact_mean_max_z(gnp_run, exact)
     print(f"gnp exact finite-n means: max |z| {max_z:.2f}")
     assert max_z <= mc.DEFAULT_Z_GATE

@@ -13,6 +13,7 @@ import pytest
 import condclt
 from condclt import cli, limit_theory, mc_engine, monotone, simulators
 from condclt.errors import CondCltError
+from exact_laws import LAWS
 
 
 def run_cli(*argv):
@@ -372,8 +373,9 @@ class TestArgumentErrors:
         (("alloc", "--n", "10", "--m", "0"), "need lambda_n > 0"),
         (("gnm", "--n", "10", "--m", "0"), "need lambda_n > 0"),
         (("gnp", "--n", "10", "--p", "0"), "need lambda_n > 0"),
-        (("spacings", "--n", "100", "--a", "800"), "positive residual variance"),
-        (("spacings", "--n", "100", "--a", "inf"), "positive residual variance"),
+        # e^-a underflows to 0: the residual variance would be 0 as well
+        (("spacings", "--n", "100", "--a", "800"), "got 0 and 100"),
+        (("spacings", "--n", "100", "--a", "inf"), "got 0 and 100"),
         # n e^-a or n (1 - e^-a) below 1: (nearly) every count is 0 or n
         (("spacings", "--n", "100", "--a", "20"), "got 2.06e-07 and 100"),
         (("spacings", "--n", "100", "--a", "700"), "got 9.86e-303 and 100"),
@@ -430,17 +432,15 @@ class TestArgumentErrors:
         assert message in captured.err
         assert "PASS" not in captured.out and "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("model,sizes,enumerate_counts", [
-        ("alloc", [(n, m) for n in range(1, 5) for m in range(1, 7)],
-         monotone.enumerate_allocation_counts),
-        ("gnm", [(n, m) for n in range(2, 7) for m in range(1, n * (n - 1) // 2 + 1)],
-         monotone.enumerate_gnm_degree_counts),
+    @pytest.mark.parametrize("model,sizes", [
+        ("alloc", [(n, m) for n in range(1, 5) for m in range(1, 7)]),
+        ("gnm", [(n, m) for n in range(2, 7) for m in range(1, n * (n - 1) // 2 + 1)]),
     ], ids=["alloc", "gnm"])
-    def test_point_mass_rule_matches_enumeration(self, model, sizes, enumerate_counts):
-        # the rule flags k exactly where column k of the exhaustive enumeration
-        # takes one value
+    def test_point_mass_rule_matches_enumeration(self, model, sizes):
+        # the rule flags k exactly where entry k of the count vector takes one
+        # value over every outcome of the exact law
         for n, m in sizes:
-            counts = enumerate_counts(n, m)
+            counts = np.array(list(LAWS[model](n, m)))
             fixed = [k for k in range(counts.shape[1]) if np.all(counts[:, k] == counts[0, k])]
             params = {"n": n, "m": m, "max_k": counts.shape[1] - 1}
             assert cli._point_mass_ks(model, params) == fixed, (n, m)
@@ -458,6 +458,24 @@ class TestArgumentErrors:
     ])
     def test_parameter_at_its_bound_is_accepted(self, argv):
         cli.check_args(cli.build_parser().parse_args([*argv, "--reps", "200"]))
+
+    def test_admitted_spacings_thresholds_have_a_positive_residual(self):
+        # the expected-count rule admits a in [-log1p(-1/n), log n], widest at
+        # the largest n; check_args computes no residual variance, so it must be
+        # positive wherever the rule admits a
+        n = 2**63 - 1
+        lo, hi = -math.log1p(-1 / n), math.log(n)
+        for a, admitted in ((lo, True), (hi, True), (math.nextafter(lo, 0), False),
+                            (math.nextafter(hi, math.inf), False)):
+            args = cli.build_parser().parse_args(["spacings", "--n", str(n), "--a", repr(a),
+                                                  "--reps", "200"])
+            if admitted:
+                cli.check_args(args)
+            else:
+                with pytest.raises(ValueError, match="expected counts"):
+                    cli.check_args(args)
+        for a in [lo, *np.geomspace(lo, hi, 10_001), hi]:
+            assert limit_theory.spacings_limit_constants(float(a)).residual > 0.0, a
 
     @pytest.mark.parametrize("experiment", ["alloc", "gnp", "gnm", "spacings", "transfer",
                                             "monotone"])
@@ -545,6 +563,24 @@ class TestArgumentErrors:
         real = os.path.realpath(flags[1])
         assert capsys.readouterr().err == f"condclt: config error: {named} both name {real}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("config,argv", [
+        ("reps=200\nmax_k=3\n", ("alloc", "--n", "100", "--m", "100", "--out", "exp.cfg")),
+        ("reps=200\nmax_k=3\n", ("alloc", "--n", "100", "--m", "100", "--dump", "./exp.cfg")),
+        ("lam=2.0\n", ("transfer", "--table", "exp.cfg")),
+    ], ids=["out", "dump", "transfer-table"])
+    def test_output_naming_the_config_file_is_config_error(self, config, argv, tmp_path, capsys,
+                                                           monkeypatch):
+        # the report would replace the config file it was run from
+        monkeypatch.setattr(mc_engine, "run_experiment", None)
+        monkeypatch.setattr(cli, "_transfer_checks", None)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(config)
+        assert run_cli("--config", "exp.cfg", *argv) == cli.EXIT_CONFIG_ERROR
+        real = os.path.realpath("exp.cfg")
+        assert capsys.readouterr().err == (f"condclt: config error: --config and {argv[-2]} "
+                                           f"both name {real}\n")
+        assert (tmp_path / "exp.cfg").read_bytes() == config.encode()
 
     @pytest.mark.parametrize("argv,message", [
         # the exact decision has no grid: the old scan flags are unknown

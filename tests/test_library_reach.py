@@ -10,10 +10,7 @@ SRC = ROOT / "src" / "condclt"
 
 # Public names that only tests reach, kept on purpose.
 KEPT = {
-    "allocation_count_law": "exact occupancy-vector law; folds into the exact finite-n gates",
-    "enumerate_allocation_counts": "the exhaustive allocation oracle of criterion 6",
-    "exact_moments": "exact moments of an enumeration, the theory of the desk-scale gate tests",
-    "expected_degree_count_exact": "exact finite-n degree mean; folds into the exact gates",
+    "allocation_count_law": "exact occupancy-vector law of the desk-scale tests and criterion 6",
     "gnp_degree_cov": "per-entry reference that theory_cov_matrix is tested against",
     "load_count_matrix": "reads the --dump count-matrix format back",
     "parse_report": "reads the JSON report format back",

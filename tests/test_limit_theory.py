@@ -232,31 +232,6 @@ class TestDegreeCovs:
             assert np.abs(mat.sum(axis=1)).max() < 1e-8
 
 
-class TestExpectedDegreeCount:
-    def test_small_exact(self):
-        assert lt.expected_degree_count_exact(3, 0.5, 2) == pytest.approx(0.75, abs=1e-15)
-        assert lt.expected_degree_count_exact(2, 0.5, 0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_sums_to_n(self):
-        for n, p in [(10, 0.3), (100, 0.05), (50, 0.9)]:
-            total = sum(lt.expected_degree_count_exact(n, p, k) for k in range(n))
-            assert total == pytest.approx(n, abs=1e-9)
-
-    def test_poisson_approximation_gap(self):
-        n = 10_000
-        exact = lt.expected_degree_count_exact(n, 2.0 / n, 0)
-        limit = n * lt.poisson_pmf(2.0, 0)
-        assert abs(exact / limit - 1.0) < 1e-3
-
-    def test_range_errors(self):
-        with pytest.raises(ValueError):
-            lt.expected_degree_count_exact(1, 0.5, 0)
-        with pytest.raises(ValueError):
-            lt.expected_degree_count_exact(5, 0.5, 5)
-        with pytest.raises(ValueError):
-            lt.expected_degree_count_exact(5, 1.5, 1)
-
-
 class TestWeissVariance:
     def test_lambda_one(self):
         assert lt.weiss_variance(1.0) == pytest.approx(E**-1 - 2 * E**-2, abs=1e-15)

@@ -16,6 +16,7 @@ from condclt import limit_theory as lt
 from condclt import mc_engine as mc
 from condclt import monotone, simulators
 from condclt.errors import CondCltError
+from exact_laws import law_moments
 
 
 class TestStandardize:
@@ -293,11 +294,10 @@ class TestRunExperiment:
 class TestCompareToTheory:
     def test_desk_scale_pass(self):
         # n=4, m=3 allocation: compare standardized sample moments to the
-        # exactly enumerated finite-n moments.
+        # exact finite-n moments.
         p = {"n": 4, "m": 3, "max_k": 3}
         run = mc.run_experiment("alloc", p, reps=20_000, seed=11)
-        counts = monotone.enumerate_allocation_counts(4, 3)
-        mean, cov = monotone.exact_moments(counts)
+        mean, cov = law_moments(monotone.allocation_count_law(4, 3))
         spec = mc.standardization_for("alloc", p)
         theory_mean = (mean - spec.b_n) / spec.a_n
         theory_cov = cov / 4.0
@@ -308,8 +308,7 @@ class TestCompareToTheory:
     def test_corrupted_variance_fails(self):
         p = {"n": 4, "m": 3, "max_k": 3}
         run = mc.run_experiment("alloc", p, reps=20_000, seed=11)
-        counts = monotone.enumerate_allocation_counts(4, 3)
-        mean, cov = monotone.exact_moments(counts)
+        mean, cov = law_moments(monotone.allocation_count_law(4, 3))
         spec = mc.standardization_for("alloc", p)
         theory_mean = (mean - spec.b_n) / spec.a_n
         report = mc.compare_to_theory(run, theory_mean, 2.0 * cov / 4.0)
@@ -429,8 +428,7 @@ class TestNormalityDistance:
 class TestGateSoundness:
     def test_pass_rate_across_seeds(self):
         # With correct theory the 4-sigma gate should essentially always pass.
-        counts = monotone.enumerate_allocation_counts(4, 3)
-        mean, cov = monotone.exact_moments(counts)
+        mean, cov = law_moments(monotone.allocation_count_law(4, 3))
         p = {"n": 4, "m": 3, "max_k": 3}
         spec = mc.standardization_for("alloc", p)
         theory_mean = (mean - spec.b_n) / spec.a_n

@@ -1,7 +1,9 @@
+import itertools
 import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +15,6 @@ from condclt.errors import CondCltError
 
 def point_mass(x):
     return mono.FiniteDistribution([x], [1])
-
-
-def scalar_law(values) -> mono.FiniteDistribution:
-    """Exact law of a scalar statistic evaluated over equiprobable outcomes."""
-    weights = {}
-    for v in np.asarray(values):
-        weights[float(v)] = weights.get(float(v), 0) + 1
-    return mono.from_weights(weights)
 
 
 class TestFiniteDistribution:
@@ -64,13 +58,14 @@ class TestExactEmptyBoxLaw:
         assert law.weights == (6, 3)
 
     def test_against_brute_force_enumeration(self):
+        # the empty-box marginal of the occupancy-vector law, which
+        # test_allocation_law_matches_enumeration checks against brute force
         for n in [2, 3]:
             for m in range(0, 5):
-                counts = mono.enumerate_allocation_counts(n, m)
                 law = mono.exact_empty_box_law(n, m)
-                brute = scalar_law(counts[:, 0])
-                assert law.support == brute.support
-                assert law.weights == brute.weights
+                vectors = mono.functional_law(mono.allocation_count_law(n, m), lambda c: c[0])
+                assert law.support == vectors.support
+                assert law.weights == vectors.weights
 
     def test_out_of_range(self):
         with pytest.raises(CondCltError, match="outside the exact-enumeration range"):
@@ -188,24 +183,20 @@ class TestExactLaws:
         law = mono.allocation_count_law(5, 8)
         assert sum(law.values()) == 5**8
 
-    def test_allocation_law_matches_enumeration(self):
-        law = mono.allocation_count_law(3, 3)
-        counts = mono.enumerate_allocation_counts(3, 3)
-        brute = {}
-        for row in counts:
-            key = tuple(int(v) for v in row)
-            brute[key] = brute.get(key, 0) + 1
-        assert law == brute
+    # covers every (n, m) at which criterion 6, the sampler G-tests, the
+    # point-mass rule, the empty-box law test and the desk-scale gate tests
+    # read the law
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 5) for m in range(7)])
+    def test_allocation_law_matches_enumeration(self, n, m):
+        # brute force over all n^m throws
+        brute = Counter(tuple(np.bincount(np.bincount(balls, minlength=n),
+                                          minlength=m + 1).tolist())
+                        for balls in itertools.product(range(n), repeat=m))
+        assert mono.allocation_count_law(n, m) == brute
 
     def test_gnm_law_total_mass(self):
         for m in range(7):
             assert sum(mono.gnm_count_law(4, m).values()) == math.comb(6, m)
-
-    def test_exact_moments_match_known_triangle(self):
-        counts = mono.enumerate_gnm_degree_counts(3, 3)
-        mean, cov = mono.exact_moments(counts)
-        assert mean.tolist() == [0.0, 0.0, 3.0]
-        assert np.abs(cov).max() == 0.0
 
     def test_surjection_counts(self):
         assert mono.surjection_count(3, 2) == 6

@@ -11,7 +11,7 @@ import pytest
 
 from condclt import mc_engine, monotone, simulators as sim
 from condclt.errors import CondCltError
-from exact_laws import enumerated_law, g_test_pvalue, sampled_rows
+from exact_laws import LAWS, g_test_pvalue, occupancy_count_law, sampled_rows
 
 
 def rng_for(seed=0):
@@ -378,10 +378,12 @@ def spacing_exceedance_law(n: int, a: Fraction) -> dict:
 
 class TestLawsAgainstEnumeration:
     """The production samplers, at one fixed seed, against exact laws: the
-    count vectors of run_experiment against full enumeration (for G(n,p), the
-    G(n,m) enumerations weighted by the binomial edge count), the degrees of
-    the first and last vertex against the hypergeometric law, and the spacings
-    exceedance counts against their inclusion-exclusion law."""
+    count vectors of run_experiment against their laws by multinomial weights
+    over compositions (allocations) and by graph enumeration (G(n,m); for
+    G(n,p), those laws weighted by the binomial edge count), the allocation
+    counts N_k at n = m = 200 and the spacings exceedance counts against their
+    inclusion-exclusion laws, and the degrees of the first and last vertex
+    against the hypergeometric law."""
 
     REPS = 10_000
     SEED = 5
@@ -392,10 +394,31 @@ class TestLawsAgainstEnumeration:
                              [("gnm", n, m) for n, m in GNM_SIZES + [(7, 8), (7, 14)]]
                              + [("alloc", 3, 4), ("alloc", 4, 5)])
     def test_count_vectors(self, model, n, m, tmp_path):
-        law = enumerated_law(model, n, m)
+        law = LAWS[model](n, m)
         params = {"n": n, "m": m, "max_k": len(next(iter(law))) - 1}
         observed = sampled_rows(model, params, self.REPS, self.SEED, tmp_path / "counts.bin")
         assert g_test_pvalue(observed, law) >= 1e-4
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (4, 5)])
+    def test_occupancy_count_law_matches_enumeration(self, n, m):
+        # brute force over all n^m throws, for every k
+        loads = [np.bincount(balls, minlength=n) for balls in product(range(n), repeat=m)]
+        for k in range(m + 1):
+            law = occupancy_count_law(n, m, k)
+            assert sum(law.values()) == n**m and min(law.values()) >= 0
+            brute = Counter(int((occ == k).sum()) for occ in loads)
+            assert {j: w for j, w in law.items() if w} == brute, k
+
+    def test_occupancy_counts_at_200(self, tmp_path):
+        # each count N_k, k <= 4, of the count rows against its exact law
+        n = m = 200
+        rows = sampled_rows("alloc", {"n": n, "m": m, "max_k": 4}, self.REPS, self.SEED,
+                            tmp_path / "counts.bin")
+        for k in range(5):
+            column = Counter()
+            for row, count in rows.items():
+                column[row[k]] += count
+            assert g_test_pvalue(column, occupancy_count_law(n, m, k)) >= 1e-4, k
 
     @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 4)])
     def test_gnp_count_vectors(self, p, tmp_path):
