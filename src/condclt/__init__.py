@@ -1,6 +1,6 @@
 """condclt: conditional central-limit machinery and its Monte Carlo verification.
 
-Subpackages:
+Modules:
 
 - ``gauss_cond``: exact Gaussian conditioning on one coordinate (the Schur
   complement of its variance).
@@ -8,7 +8,7 @@ Subpackages:
   for vertex degrees in G(n,p) / G(n,m), Weiss's empty-box variance,
   spacings constants, and ``gnp_edge_joint_cov``'s degree/edge-statistic covariance.
 - ``simulators``: one exact finite-n replicate sampler per model.
-- ``monotone``: desk-scale exact stochastic-monotonicity verification.
+- ``monotone``: exact occupancy laws and stochastic-monotonicity verification.
 - ``mc_engine``: replicated Monte Carlo harness with mergeable moment
   accumulators and theory gates.
 - ``cwold``: closed-form characteristic-function bench for the one-sided

@@ -35,6 +35,7 @@ MIN_TOTAL_COUNT = 20        # fewest expected counts of a marginal over all repl
 # about 2.3 s and 220 MiB on one BLAS thread of a 2-core host, and covers the
 # truncation index of every lam up to ~1700
 MAX_TRANSFER_K = 2000
+MONOTONE_MAX_N, MONOTONE_MAX_M = 8, 12      # monotone's caps, which bound its run time
 
 
 def _read_config_file(path: str) -> dict:
@@ -47,11 +48,13 @@ def _read_config_file(path: str) -> dict:
                     continue
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, val = line.partition("=")
-                values[key.strip()] = val.strip()
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key in values:
+                    raise ValueError(f"{path}: {key} is set on lines {values[key][0]} and {lineno}")
+                values[key] = lineno, val
     except OSError as exc:
         raise ValueError(f"cannot read config file {path}: {exc}")
-    return values
+    return {key: val for key, (_, val) in values.items()}
 
 
 def _config_path(argv: list[str]):
@@ -91,7 +94,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
             arg(p, "--ks-gate", type=float, default=mc_engine.DEFAULT_KS_GATE,
                 help="max KS distance accepted (default 0.05)")
             arg(p, "--workers", type=int, default=1,
-                help="worker processes, at most the CPU count (does not affect results)")
+                help="worker processes, at most the usable CPUs (does not affect results)")
             arg(p, "--dump", help="binary dump path for raw count vectors")
 
     p = sub.add_parser("alloc", help="balls-into-boxes occupancy counts")
@@ -168,7 +171,7 @@ def _point_mass_ks(model: str, params: dict) -> list[int]:
 
 
 def check_args(args) -> None:
-    """Reject, with a ValueError (a CondCltError where lambda_n has no
+    """Reject, with a ValueError (a CondCltError for a gate or a lambda_n with no
     truncation index), arguments the chosen experiment cannot run with, and
     output paths it could not write, before anything runs or is allocated."""
     if args.experiment in mc_engine.EXPERIMENT_MODELS:
@@ -210,12 +213,9 @@ def check_args(args) -> None:
                 raise ValueError(f"k = {k} expects R n pi_k(lambda_n) = {total:.6g} counts over "
                                  f"all replicates, below {MIN_TOTAL_COUNT}; lower max_k or "
                                  f"raise n or reps")
-        # a KS distance is at most 1, so a ks_gate of 1 or more fails nothing
-        for name, gate, top, bound in (("z_gate", args.z_gate, math.inf, ""),
-                                       ("ks_gate", args.ks_gate, 1.0, " and below 1")):
-            if not 0.0 < gate < top:
-                raise ValueError(f"{name} must be positive and finite{bound}, got {gate}")
-        cpus = os.cpu_count() or 1
+        mc_engine.check_gates(args.z_gate, args.ks_gate)
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
         if not 1 <= args.workers <= cpus:
             raise ValueError(f"workers must be in [1, {cpus}], got {args.workers}")
     elif args.experiment == "transfer":
@@ -231,10 +231,10 @@ def check_args(args) -> None:
                              f"{limit_theory.TAIL_MASS_GATE:g}, and at most "
                              f"{MAX_TRANSFER_K}; got {args.K}")
     elif args.experiment == "monotone":
-        if not 2 <= args.n <= monotone.DESK_MAX_N:
-            raise ValueError(f"n must be in [2, {monotone.DESK_MAX_N}], got {args.n}")
-        if not 1 <= args.max_m <= monotone.DESK_MAX_M:
-            raise ValueError(f"max_m must be in [1, {monotone.DESK_MAX_M}], got {args.max_m}")
+        if not 2 <= args.n <= MONOTONE_MAX_N:
+            raise ValueError(f"n must be in [2, {MONOTONE_MAX_N}], got {args.n}")
+        if not 1 <= args.max_m <= MONOTONE_MAX_M:
+            raise ValueError(f"max_m must be in [1, {MONOTONE_MAX_M}], got {args.max_m}")
     # the reports and the dump are written only after the run: a path that
     # cannot be written, or that two of them or the config file share, would
     # lose the whole run or the config

@@ -442,6 +442,14 @@ def _entries(kind: str, index, theory, estimate, stderr) -> list[ComparisonEntry
     return out
 
 
+def check_gates(z_gate: float, ks_gate: float = DEFAULT_KS_GATE) -> None:
+    """Reject a z gate outside (0, inf) and a KS gate outside (0, 1): no KS distance exceeds 1."""
+    if not 0.0 < z_gate < math.inf:
+        raise CondCltError(f"z_gate must be positive and finite, got {z_gate}")
+    if not 0.0 < ks_gate < 1.0:
+        raise CondCltError(f"ks_gate must be positive and finite and below 1, got {ks_gate}")
+
+
 def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
                       z_gate: float = DEFAULT_Z_GATE) -> VerificationReport:
     """Gate sample means and covariances against closed-form predictions.
@@ -451,6 +459,7 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
     per-batch covariance estimates.  The theory must be finite and of shapes
     (dim,) and (dim, dim).
     """
+    check_gates(z_gate)
     if run.acc.count < MIN_REPS:
         raise CondCltError(f"need >= {MIN_REPS} replicates, got {run.acc.count}")
     theory_mean = np.asarray(theory_mean, dtype=float)
@@ -488,8 +497,8 @@ def normality_distance(samples, mu: float, sigma2: float) -> float:
     so the sup is the one over all samples.
     """
     samples = np.sort(np.asarray(samples, dtype=float))
-    if sigma2 <= 0.0:
-        raise CondCltError(f"sigma2 = {sigma2} is not positive")
+    if not (math.isfinite(mu) and 0.0 < sigma2 < math.inf):
+        raise CondCltError(f"need a finite mu and 0 < sigma2 < inf, got {mu} and {sigma2}")
     n = len(samples)
     if n < KS_MIN_REPS:
         raise CondCltError(f"need >= {KS_MIN_REPS} samples, got {n}")
@@ -511,15 +520,13 @@ def verify(run: ExperimentRun, theory_mean, theory_cov, z_gate: float = DEFAULT_
     KS_MIN_REPS replicates, is listed under ``skipped`` with the reason.  The
     report passes only when the z gates and every KS gate that ran pass.
     """
-    theory_mean = np.asarray(theory_mean, dtype=float)
-    theory_cov = np.asarray(theory_cov, dtype=float)
+    check_gates(z_gate, ks_gate)
     report = compare_to_theory(run, theory_mean, theory_cov, z_gate=z_gate)
     report.ks_gate = ks_gate
     if run.reps < KS_MIN_REPS:
         report.skipped.append({"gate": "ks", "reason": f"R = {run.reps} < {KS_MIN_REPS}"})
     else:
-        for i in range(run.samples.shape[1]):
-            sigma2 = theory_cov[i, i]
+        for i, sigma2 in enumerate(np.diagonal(theory_cov)):
             if sigma2 <= 0:
                 report.skipped.append({"gate": "ks", "index": i,
                                        "reason": f"theory variance {sigma2:.3g} <= 0"})

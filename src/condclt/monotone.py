@@ -1,10 +1,10 @@
-"""Exact small-instance verification of stochastic monotonicity.
+"""Exact verification of stochastic monotonicity.
 
-Exact laws (big-integer counting) for the empty-box count and for desk-scale
-allocation/graph count statistics, a first-order stochastic dominance
-checker and the inverse-CDF (quantile) coupling.  Every law carries its
-masses as integers over their sum, so dominance and the coupling are decided
-in integer arithmetic, with no tolerance.
+Exact laws, by big-integer counting, of the occupancy counts N_k (empty
+boxes: N_0) at any n and m and of desk-scale allocation/graph count vectors;
+a first-order stochastic dominance checker and the quantile coupling.  Every
+law carries its masses as integers over their sum, so dominance and the
+coupling are decided in integer arithmetic, with no tolerance.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CondCltError
-
-DESK_MAX_N = 8              # exact_empty_box_law's range: n <= 8, m <= 12
-DESK_MAX_M = 12
 
 
 class FiniteDistribution:
@@ -46,18 +43,21 @@ def from_weights(pairs: dict[float, int]) -> FiniteDistribution:
     return FiniteDistribution(support, [pairs[x] for x in support])
 
 
-def surjection_count(m: int, b: int) -> int:
-    """Surjections from an m-set onto a b-set, by inclusion-exclusion (b = 0: 0**m)."""
-    return sum((-1) ** i * math.comb(b, i) * (b - i) ** m for i in range(b + 1))
+def occupancy_count_law(n: int, m: int, k: int) -> dict[int, int]:
+    """How many of the n^m throws of m balls into n boxes leave exactly j boxes
+    with k balls, for each j, by inclusion-exclusion over the sets of r boxes
+    that m! / (k!^r (m - rk)!) (n - r)^(m - rk) throws fill with k balls each."""
+    if n < 1 or m < 0 or k < 0:
+        raise CondCltError(f"need n >= 1, m >= 0 and k >= 0, got n={n}, m={m}, k={k}")
+    filled = [math.comb(n, r) * math.perm(m, r * k) // math.factorial(k)**r * (n - r)**(m - r * k)
+              for r in range((min(n, m // k) if k else n) + 1)]
+    return {j: sum((-1) ** (r - j) * math.comb(r, j) * filled[r] for r in range(j, len(filled)))
+            for j in range(len(filled))}
 
 
 def exact_empty_box_law(n: int, m: int) -> FiniteDistribution:
-    """Exact law of the number of empty boxes after m uniform throws into n
-    boxes: C(n, z) surj(m, n - z) of the n^m throws leave z boxes empty."""
-    if not (1 <= n <= DESK_MAX_N) or not (0 <= m <= DESK_MAX_M):
-        raise CondCltError(f"(n={n}, m={m}) outside the exact-enumeration range")
-    return from_weights({float(z): math.comb(n, z) * surjection_count(m, n - z)
-                         for z in range(n + 1)})
+    """Exact law of the number of empty boxes: occupancy_count_law at k = 0."""
+    return from_weights(occupancy_count_law(n, m, 0))
 
 
 def check_stochastic_dominance(d1: FiniteDistribution, d2: FiniteDistribution):

@@ -1,10 +1,9 @@
 """Exact laws and the goodness of fit of the production sampling path to them,
-shared by the acceptance suite and the library tests: the exact law of a
-model's count vector and of one allocation count, the moments of a law, count
-rows drawn by run_experiment and read back from its --dump file, and a G-test
-of their counts against a law given as integer weights."""
+shared by the acceptance suite and the library tests: the library's exact law
+of each model's count vector, the moments of a law, count rows drawn by
+run_experiment and read back from its --dump file, and a G-test of their
+counts against a law given as integer weights."""
 
-import math
 from collections import Counter
 
 import numpy as np
@@ -22,19 +21,6 @@ def law_moments(law: dict):
     w = np.array(list(law.values()), dtype=float)
     return (np.average(keys, axis=0, weights=w),
             np.cov(keys, rowvar=False, aweights=w, bias=True))
-
-
-def occupancy_count_law(n: int, m: int, k: int) -> dict:
-    """How many of the n^m throws of m balls into n boxes leave exactly j
-    boxes with k balls, for each j: by inclusion-exclusion over the sets of r
-    boxes holding k balls each, which m! / (k!^r (m - rk)!) (n - r)^(m - rk)
-    throws fill."""
-    top = min(n, m // k) if k else n
-    filled = [math.comb(n, r) * math.factorial(m) // math.factorial(k) ** r
-              // math.factorial(m - r * k) * (n - r) ** (m - r * k) for r in range(top + 1)]
-    return {j: sum((-1) ** (r - j) * math.comb(r, j) * filled[r]
-                   for r in range(j, len(filled)))
-            for j in range(len(filled))}
 
 
 def sampled_rows(model: str, params: dict, reps: int, seed: int, dump) -> Counter:

@@ -309,6 +309,12 @@ class TestConfigFile:
         assert run_cli("--config", str(cfg), experiment) == cli.EXIT_CONFIG_ERROR
         assert key.partition("=")[0] in capsys.readouterr().err
 
+    def test_key_set_twice_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("lam=4.0\nK=60\nlam = 2.0\n")
+        assert run_cli("--config", str(cfg), "transfer") == cli.EXIT_CONFIG_ERROR
+        assert f"{cfg}: lam is set on lines 1 and 3" in capsys.readouterr().err
+
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("just-a-token\n")
@@ -506,15 +512,17 @@ class TestArgumentErrors:
             except (ValueError, CondCltError):
                 pass
 
-    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    @pytest.mark.parametrize("workers", [0, -1, 2, (os.cpu_count() or 1) + 1])
     def test_workers_out_of_range_is_config_error(self, workers, capsys, monkeypatch):
-        # rejected before any pool starts: a pool would fail this test
+        # rejected before any pool starts: a pool would fail this test.  The
+        # bound is the CPUs the process may run on: here one, as under taskset -c 0
         monkeypatch.setattr(mc_engine, "run_experiment", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         code = run_cli("alloc", "--n", "100", "--m", "100", "--reps", "200",
                        "--workers", str(workers))
         assert code == cli.EXIT_CONFIG_ERROR
         captured = capsys.readouterr()
-        assert f"workers must be in [1, {os.cpu_count() or 1}]" in captured.err
+        assert f"workers must be in [1, 1], got {workers}" in captured.err
         assert "Traceback" not in captured.err
 
     def test_workers_environment_variable_is_ignored(self, tmp_path, monkeypatch):

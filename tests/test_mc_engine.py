@@ -405,8 +405,10 @@ class TestNormalityDistance:
         assert mc.normality_distance(x, 0.0, 1.0) >= 0.5
 
     def test_degenerate_variance(self):
-        with pytest.raises(CondCltError, match="sigma2 = 0.0 is not positive"):
-            mc.normality_distance(np.zeros(2000), 0.0, 0.0)
+        # nan > gate is False, so a NaN distance would pass every KS gate
+        for mu, sigma2 in [(0.0, 0.0), (0.0, math.nan), (0.0, math.inf), (math.nan, 1.0)]:
+            with pytest.raises(CondCltError, match="need a finite mu and 0 < sigma2 < inf"):
+                mc.normality_distance(np.zeros(2000), mu, sigma2)
 
     def test_needs_1000(self):
         with pytest.raises(CondCltError, match="need >= 1000 samples"):
@@ -452,9 +454,15 @@ class TestVerify:
         assert mc.compare_to_theory(run, *theory).passed
         report = mc.verify(run, *theory)
         assert [e["index"] for e in report.normality] == [0, 1, 2, 3]
-        assert max(e["distance"] for e in report.normality) > report.ks_gate
-        assert not report.passed
-        assert mc.verify(run, *theory, ks_gate=1.0).passed
+        top = max(e["distance"] for e in report.normality)
+        assert top > report.ks_gate and not report.passed
+        assert mc.verify(run, *theory, ks_gate=top).passed
+        # a KS gate of nan or past 1, or a z gate of inf, would pass this run
+        for gates in ({"ks_gate": math.nan}, {"ks_gate": 1.0}, {"z_gate": math.inf}):
+            with pytest.raises(CondCltError, match="must be positive and finite"):
+                mc.verify(run, *theory, **gates)
+        with pytest.raises(CondCltError, match="z_gate must be positive and finite, got inf"):
+            mc.compare_to_theory(run, *theory, z_gate=math.inf)
 
     def test_zero_variance_marginal_is_skipped(self):
         run = mc.run_experiment("alloc", {**self.P, "max_k": 4}, reps=mc.KS_MIN_REPS, seed=0)

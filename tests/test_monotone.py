@@ -58,20 +58,18 @@ class TestExactEmptyBoxLaw:
         assert law.weights == (6, 3)
 
     def test_against_brute_force_enumeration(self):
-        # the empty-box marginal of the occupancy-vector law, which
-        # test_allocation_law_matches_enumeration checks against brute force
-        for n in [2, 3]:
-            for m in range(0, 5):
-                law = mono.exact_empty_box_law(n, m)
-                vectors = mono.functional_law(mono.allocation_count_law(n, m), lambda c: c[0])
-                assert law.support == vectors.support
-                assert law.weights == vectors.weights
+        # the empty-box marginal of the occupancy-vector law (brute-force checked by
+        # test_allocation_law_matches_enumeration), also past the old cap n <= 8
+        for n, m in [*itertools.product([2, 3], range(5)), (9, 0), (9, 5), (10, 4)]:
+            law = mono.exact_empty_box_law(n, m)
+            vectors = mono.functional_law(mono.allocation_count_law(n, m), lambda c: c[0])
+            assert (law.support, law.weights) == (vectors.support, vectors.weights)
 
     def test_out_of_range(self):
-        with pytest.raises(CondCltError, match="outside the exact-enumeration range"):
-            mono.exact_empty_box_law(9, 1)
-        with pytest.raises(CondCltError, match="outside the exact-enumeration range"):
-            mono.exact_empty_box_law(4, 13)
+        # the law's domain, its only bound on n and m; k = 0 through the empty-box law
+        for n, m, k in [(0, 3, 0), (-1, 3, 1), (3, -1, 0), (3, 2, -1)]:
+            with pytest.raises(CondCltError, match=f"m >= 0 and k >= 0, got n={n}, m={m}, k={k}"):
+                mono.occupancy_count_law(n, m, k) if k else mono.exact_empty_box_law(n, m)
 
 
 class TestStochasticDominance:
@@ -198,13 +196,6 @@ class TestExactLaws:
         for m in range(7):
             assert sum(mono.gnm_count_law(4, m).values()) == math.comb(6, m)
 
-    def test_surjection_counts(self):
-        assert mono.surjection_count(3, 2) == 6
-        assert mono.surjection_count(4, 4) == math.factorial(4)
-        assert mono.surjection_count(2, 3) == 0
-        assert mono.surjection_count(0, 0) == 1
-        assert mono.surjection_count(3, 0) == 0
-
 
 def criterion_7_pairs():
     """(smaller, larger) for every pair that acceptance criterion 7 checks."""
@@ -234,10 +225,9 @@ class TestExactDominance:
         assert mono.check_stochastic_dominance(d2, d1) == (True, None)
 
     def test_exact_laws_carry_their_integer_counts(self):
-        law = mono.exact_empty_box_law(4, 3)
+        law = mono.exact_empty_box_law(4, 3)      # 4 * 3!, C(4, 2) * (2^3 - 2) and 4 throws
         assert law.total == 4**3
-        assert law.weights == tuple(math.comb(4, z) * mono.surjection_count(3, 4 - z)
-                                    for z in (1, 2, 3))
+        assert (law.support, law.weights) == ((1.0, 2.0, 3.0), (24, 36, 4))
 
     @pytest.mark.parametrize("weights", [(-1, 2, 2), (0, 0, 0), (1.0, 1, 1)],
                              ids=["negative", "all-zero", "float"])

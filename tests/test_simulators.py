@@ -11,7 +11,7 @@ import pytest
 
 from condclt import mc_engine, monotone, simulators as sim
 from condclt.errors import CondCltError
-from exact_laws import LAWS, g_test_pvalue, occupancy_count_law, sampled_rows
+from exact_laws import LAWS, g_test_pvalue, sampled_rows
 
 
 def rng_for(seed=0):
@@ -404,7 +404,7 @@ class TestLawsAgainstEnumeration:
         # brute force over all n^m throws, for every k
         loads = [np.bincount(balls, minlength=n) for balls in product(range(n), repeat=m)]
         for k in range(m + 1):
-            law = occupancy_count_law(n, m, k)
+            law = monotone.occupancy_count_law(n, m, k)
             assert sum(law.values()) == n**m and min(law.values()) >= 0
             brute = Counter(int((occ == k).sum()) for occ in loads)
             assert {j: w for j, w in law.items() if w} == brute, k
@@ -418,7 +418,7 @@ class TestLawsAgainstEnumeration:
             column = Counter()
             for row, count in rows.items():
                 column[row[k]] += count
-            assert g_test_pvalue(column, occupancy_count_law(n, m, k)) >= 1e-4, k
+            assert g_test_pvalue(column, monotone.occupancy_count_law(n, m, k)) >= 1e-4, k
 
     @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 4)])
     def test_gnp_count_vectors(self, p, tmp_path):
