@@ -9,8 +9,8 @@ Modules:
   spacings constants, and ``gnp_edge_joint_cov``'s degree/edge-statistic covariance.
 - ``simulators``: one exact finite-n replicate sampler per model.
 - ``monotone``: exact occupancy laws and stochastic-monotonicity verification.
-- ``mc_engine``: replicated Monte Carlo harness with mergeable moment
-  accumulators and theory gates.
+- ``mc_engine``: replicated Monte Carlo harness that takes every moment from
+  the sample matrix by one formula, and its theory gates.
 - ``cwold``: closed-form characteristic-function bench for the one-sided
   uniqueness question.
 - ``cli``: batch experiment runner (``condclt`` entry point).

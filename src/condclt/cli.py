@@ -307,9 +307,8 @@ def _run_analytic(args, params: dict, checks_for) -> mc_engine.VerificationRepor
     checks = [{"name": name, "value": value, "bound": bound, "passed": bool(passed)}
               for name, value, bound, passed in checks_for(args)]
     return mc_engine.VerificationReport(
-        experiment=args.experiment, params=params, seed=None, z_gate=0.0,
-        ks_gate=0.0, checks=checks, passed=all(c["passed"] for c in checks),
-        wall_time=time.perf_counter() - start)
+        experiment=args.experiment, params=params, seed=None, checks=checks,
+        passed=all(c["passed"] for c in checks), wall_time=time.perf_counter() - start)
 
 
 def _summary(report: mc_engine.VerificationReport) -> str:
@@ -328,12 +327,13 @@ def _summary(report: mc_engine.VerificationReport) -> str:
 
 
 def emit_report(report: mc_engine.VerificationReport, out_path=None, table_path=None):
-    """Write the structured (JSON) report and the flat CSV table: one row per
-    check record when the report carries checks (an empty cell for a None
-    value or bound), else one row per comparison entry."""
+    """Write the structured report as strict JSON (no NaN or Infinity token)
+    and the flat CSV table: one row per check record when the report carries
+    checks (an empty cell for a None value or bound), else one row per
+    comparison entry."""
     if out_path:
         with open(out_path, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2)
+            json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
             fh.write("\n")
     if table_path:
         with open(table_path, "w", newline="") as fh:

@@ -3,8 +3,9 @@
 Each replicate counts the box loads or vertex degrees that its model's load
 kernel in ``simulators`` draws up to max_k (spacings: the one count of
 ``spacing_exceedances``), straight into one raw count matrix.  The matrix is
-standardized by the centering/scaling sequences of the model and fed, one
-block of rows per batch, into mergeable moment accumulators.
+standardized by the centering/scaling sequences of the model; the run's
+moments, and those of each batch that the covariance standard errors need,
+come from that one sample matrix by one two-pass formula.
 Replicate i draws from ``default_rng(SeedSequence([seed, i]))``, so the
 estimates do not depend on the worker count or on how replicates are chunked.
 """
@@ -72,11 +73,9 @@ def standardize(x, spec: StandardizationSpec) -> np.ndarray:
 
 
 class MomentAccumulator:
-    """Mergeable running mean / co-moment state for vector samples.
-
-    Tracks the count, the mean and the co-moment matrix (sum of outer
-    products of deviations).
-    """
+    """Count, mean and co-moment matrix (sum of outer products of deviations)
+    of vector samples.  ``from_block`` is the one moment formula of a sampling
+    run; ``update`` adds one row and is the reference the tests check it against."""
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -108,24 +107,6 @@ class MomentAccumulator:
         delta = x - self.mean
         self.mean += delta / self.count
         self.comoment += np.outer(delta, x - self.mean)
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        """Combine two disjoint accumulators into a new one; associative and
-        commutative up to float rounding.  An empty side's delta terms are 0."""
-        if other.dim != self.dim:
-            raise CondCltError("accumulator dimensions differ")
-        na, nb = self.count, other.count
-        n = na + nb
-        out = MomentAccumulator(self.dim)
-        if n == 0:
-            return out
-        out.count = n
-        delta = other.mean - self.mean
-        out.mean = self.mean + delta * (nb / n)
-        out.comoment = (
-            self.comoment + other.comoment + np.outer(delta, delta) * (na * nb / n)
-        )
-        return out
 
     def covariance(self) -> np.ndarray:
         if self.count < 2:
@@ -310,18 +291,17 @@ def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
 
 
 class ExperimentRun:
-    """Replicated experiment output: total and per-batch accumulators, the
-    standardized sample matrix (reps x dim) and the wall time of each phase."""
+    """Replicated experiment output: the standardized sample matrix
+    (reps x dim), its moments and the wall time of each phase."""
 
     def __init__(self, model: str, params: dict, reps: int, seed: int,
-                 acc: MomentAccumulator, batch_accs: list[MomentAccumulator],
-                 samples: np.ndarray, wall_time: float = 0.0, timings: dict | None = None):
+                 acc: MomentAccumulator, samples: np.ndarray, wall_time: float = 0.0,
+                 timings: dict | None = None):
         self.model = model
         self.params = params
         self.reps = reps
         self.seed = seed
         self.acc = acc
-        self.batch_accs = batch_accs
         self.samples = samples
         self.wall_time = wall_time
         self.timings = {} if timings is None else timings
@@ -332,10 +312,10 @@ def run_experiment(model: str, params: dict, reps: int, seed: int, workers: int 
     """Run reps independent replicates, deterministically in (seed, index).
 
     The worker count only affects scheduling; samples are placed by replicate
-    index and accumulated in index order, so results are identical for any
-    number of workers.  ``timings`` splits the wall time into streams_s,
-    sampling_s, standardize_s, accumulate_s and dump_s; the first two share
-    the sampling phase in the ratio the workers measured.
+    index and ``acc`` holds the moments of the whole matrix, so results are
+    identical for any number of workers.  ``timings`` splits the wall time into
+    streams_s, sampling_s, standardize_s, accumulate_s and dump_s; the first
+    two share the sampling phase in the ratio the workers measured.
     """
     check_params(model, params, seed)
     if reps < 2:
@@ -362,12 +342,7 @@ def run_experiment(model: str, params: dict, reps: int, seed: int, workers: int 
                                          / sum(chunk[2] for chunk in chunks))
     samples = standardize(raw, standardization_for(model, params))
     standardized = clock()
-    batch_bounds = np.linspace(0, reps, min(DEFAULT_N_BATCHES, reps) + 1, dtype=int)
-    batch_accs = [MomentAccumulator.from_block(samples[lo:hi])
-                  for lo, hi in zip(batch_bounds[:-1], batch_bounds[1:])]
-    total = batch_accs[0]
-    for acc in batch_accs[1:]:
-        total = total.merge(acc)
+    acc = MomentAccumulator.from_block(samples)
     accumulated = clock()
     if dump_path is not None:
         simulators.dump_count_matrix(dump_path, raw)
@@ -376,7 +351,7 @@ def run_experiment(model: str, params: dict, reps: int, seed: int, workers: int 
                "standardize_s": standardized - sampled,
                "accumulate_s": accumulated - standardized, "dump_s": end - accumulated}
     return ExperimentRun(model=model, params=dict(params), reps=reps, seed=seed,
-                         acc=total, batch_accs=batch_accs, samples=samples,
+                         acc=acc, samples=samples,
                          wall_time=end - start, timings=timings)
 
 
@@ -394,11 +369,12 @@ class VerificationReport:
     """A run's verdict, with its provenance (versions, seed, workers, argv).
 
     Every container a caller leaves out starts empty and belongs to this report
-    alone.  vars(report) keeps the argument order, which is the key order of
+    alone; a gate left out is None, as in an analytic report, which gates
+    nothing.  vars(report) keeps the argument order, which is the key order of
     to_dict and of the JSON report."""
 
-    def __init__(self, experiment: str, params: dict, seed: int, z_gate: float,
-                 ks_gate: float, entries: list[ComparisonEntry] | None = None,
+    def __init__(self, experiment: str, params: dict, seed: int, z_gate: float | None = None,
+                 ks_gate: float | None = None, entries: list[ComparisonEntry] | None = None,
                  normality: list[dict] | None = None, skipped: list[dict] | None = None,
                  checks: list[dict] | None = None, passed: bool = False,
                  wall_time: float = 0.0, timings: dict | None = None,
@@ -421,13 +397,17 @@ class VerificationReport:
         return max((abs(e.z) for e in self.entries), default=0.0)
 
     def to_dict(self) -> dict:
-        return {**vars(self), "entries": [e._asdict() for e in self.entries]}
+        """The report as JSON-ready values; a non-finite z, which JSON has no
+        token for, is written as its repr ("inf" or "-inf"), as in the CSV."""
+        return {**vars(self), "entries": [
+            {**e._asdict(), "z": e.z if math.isfinite(e.z) else repr(e.z)}
+            for e in self.entries]}
 
     @staticmethod
     def from_dict(d: dict) -> "VerificationReport":
         """Inverse of to_dict; a key the report lacks takes its default."""
-        return VerificationReport(**{**d, "entries": [ComparisonEntry(**e)
-                                                      for e in d["entries"]]})
+        return VerificationReport(**{**d, "entries": [
+            ComparisonEntry(**{**e, "z": float(e["z"])}) for e in d["entries"]]})
 
 
 def _entries(kind: str, index, theory, estimate, stderr) -> list[ComparisonEntry]:
@@ -456,8 +436,8 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
 
     Mean entries use sqrt(var/count) standard errors; covariance entries
     (upper triangle, row by row) use batch-means standard errors across the
-    per-batch covariance estimates.  The theory must be finite and of shapes
-    (dim,) and (dim, dim).
+    covariances of DEFAULT_N_BATCHES equal row slices of the sample matrix.
+    The theory must be finite and of shapes (dim,) and (dim, dim).
     """
     check_gates(z_gate)
     if run.acc.count < MIN_REPS:
@@ -477,8 +457,10 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
     )
     cov = run.acc.covariance()
     mean_se = np.sqrt(np.maximum(np.diag(cov), 0.0) / run.acc.count)
-    batch_covs = np.array([b.covariance() for b in run.batch_accs])
-    cov_se = batch_covs.std(axis=0, ddof=1) / math.sqrt(len(run.batch_accs))
+    bounds = np.linspace(0, run.acc.count, DEFAULT_N_BATCHES + 1, dtype=int)
+    batch_covs = np.array([MomentAccumulator.from_block(run.samples[lo:hi]).covariance()
+                           for lo, hi in zip(bounds[:-1], bounds[1:])])
+    cov_se = batch_covs.std(axis=0, ddof=1) / math.sqrt(DEFAULT_N_BATCHES)
     upper = np.triu_indices(dim)
     report.entries = (
         _entries("mean", [(i, -1) for i in range(dim)], theory_mean, run.acc.mean, mean_se)

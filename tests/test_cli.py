@@ -82,6 +82,17 @@ class TestAnalyticSubcommands:
             assert row == [argv[0], check["name"], value, bound, "True"]
 
 
+    @pytest.mark.parametrize("argv", [("transfer",), ("monotone", "--n", "3", "--max-m", "4"),
+                                      ("cwold",)], ids=["transfer", "monotone", "cwold"])
+    def test_report_claims_no_gate(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        assert run_cli(*argv, "--out", str(out)) == cli.EXIT_OK
+        with open(out) as fh:
+            doc = json.load(fh)
+        assert list(doc)[3:5] == ["z_gate", "ks_gate"]
+        assert doc["z_gate"] is None and doc["ks_gate"] is None
+
+
 class TestSamplingSubcommands:
     def test_gnm_small_run(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import platform
@@ -7,11 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 from scipy.special import ndtr
 
+from condclt import cli
 from condclt import limit_theory as lt
 from condclt import mc_engine as mc
 from condclt import monotone, simulators
@@ -86,50 +85,6 @@ class TestMomentAccumulator:
         assert acc.mean == pytest.approx(data.mean(axis=0), abs=1e-12)
         assert acc.covariance() == pytest.approx(np.cov(data.T), abs=1e-10)
 
-    def test_merge_equals_sequential(self):
-        rng = np.random.default_rng(1)
-        data = rng.standard_normal((400, 2))
-        whole = self._fill(data)
-        merged = self._fill(data[:150]).merge(self._fill(data[150:]))
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, abs=1e-12)
-        assert merged.comoment == pytest.approx(whole.comoment, abs=1e-9)
-
-    def test_merge_with_empty(self):
-        rng = np.random.default_rng(2)
-        data = rng.standard_normal((10, 2))
-        acc = self._fill(data)
-        out = acc.merge(mc.MomentAccumulator(2))
-        assert out.count == 10
-        assert out.mean == pytest.approx(acc.mean, abs=0)
-        out = mc.MomentAccumulator(2).merge(acc)
-        assert out.count == 10
-        assert out.mean.tobytes() == acc.mean.tobytes()
-        assert out.comoment.tobytes() == acc.comoment.tobytes()
-        a, b = mc.MomentAccumulator(3), mc.MomentAccumulator(3)
-        out = a.merge(b)
-        assert (out.count, out.dim) == (0, 3) and out is not a and out is not b
-        out.mean += 1.0
-        out.comoment += 1.0
-        assert not (a.mean.any() or a.comoment.any() or b.mean.any() or b.comoment.any())
-
-    @given(
-        hnp.arrays(np.float64, (30, 2), elements=st.floats(-50, 50)),
-        st.integers(1, 28),
-        st.integers(1, 28),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_merge_associative(self, data, c1, c2):
-        lo, hi = min(c1, c2), max(c1, c2) + 1
-        a = self._fill(data[:lo])
-        b = self._fill(data[lo:hi])
-        c = self._fill(data[hi:])
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        scale = 1.0 + np.abs(left.comoment).max()
-        assert np.abs(left.mean - right.mean).max() < 1e-10 * (1 + np.abs(left.mean).max())
-        assert np.abs(left.comoment - right.comoment).max() < 1e-10 * scale
-
     def test_insufficient_for_covariance(self):
         acc = mc.MomentAccumulator(2)
         acc.update([1.0, 2.0])
@@ -163,19 +118,9 @@ class TestFromBlock:
         for name in ("mean", "comoment"):
             _assert_rel_close(getattr(block, name), getattr(seq, name))
 
-    def test_merge_matches_union(self):
-        a = mc.MomentAccumulator.from_block(self.DATA[:260])
-        b = mc.MomentAccumulator.from_block(self.DATA[260:])
-        whole = mc.MomentAccumulator.from_block(self.DATA)
-        merged = a.merge(b)
-        assert merged.count == whole.count
-        for name in ("mean", "comoment"):
-            _assert_rel_close(getattr(merged, name), getattr(whole, name))
-
     def test_empty_block(self):
         acc = mc.MomentAccumulator.from_block(np.empty((0, 3)))
         assert acc.count == 0 and acc.dim == 3
-        assert acc.merge(mc.MomentAccumulator.from_block(self.DATA[:5, :3])).count == 5
 
     def test_rejects_vector(self):
         with pytest.raises(CondCltError, match="block shape"):
@@ -262,12 +207,22 @@ class TestRunExperiment:
         assert all(v >= 0.0 for v in run.timings.values())
         assert sum(run.timings.values()) <= run.wall_time
 
-    def test_batch_accs_partition(self):
-        run = mc.run_experiment("alloc", {"n": 10, "m": 10, "max_k": 2},
-                                reps=100, seed=1)
-        assert len(run.batch_accs) == mc.DEFAULT_N_BATCHES
-        assert sum(b.count for b in run.batch_accs) == 100
-        assert run.acc.count == 100
+    def test_moments_match_numpy_over_the_sample_matrix(self):
+        # 110 rows: the batch slices hold 5 or 6 rows each
+        run = mc.run_experiment("alloc", {"n": 10, "m": 10, "max_k": 2}, reps=110, seed=1)
+        report = mc.compare_to_theory(run, np.zeros(3), np.eye(3))
+        cov = np.cov(run.samples.T)
+        bounds = np.linspace(0, 110, mc.DEFAULT_N_BATCHES + 1).astype(int)
+        batch_covs = np.array([np.cov(run.samples[lo:hi].T)
+                               for lo, hi in zip(bounds[:-1], bounds[1:])])
+        upper = np.triu_indices(3)
+        want = {"mean": (run.samples.mean(axis=0), np.sqrt(np.diag(cov) / 110)),
+                "cov": (cov[upper], batch_covs.std(axis=0, ddof=1)[upper]
+                        / math.sqrt(mc.DEFAULT_N_BATCHES))}
+        for kind, (estimate, stderr) in want.items():
+            got = [e for e in report.entries if e.kind == kind]
+            _assert_rel_close(np.array([e.estimate for e in got]), estimate)
+            _assert_rel_close(np.array([e.stderr for e in got]), stderr)
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc heap thresholds")
     def test_replicates_reuse_heap_pages(self):
@@ -320,25 +275,37 @@ class TestCompareToTheory:
         with pytest.raises(CondCltError, match="need >= 100 replicates"):
             mc.compare_to_theory(run, np.zeros(2), np.eye(2))
 
-    def test_zero_stderr_covariance_fails(self):
+    @staticmethod
+    def _zero_stderr_report():
         # Constant integer rows: every batch covariance is exactly 0, so each
         # batch-means SE is 0 and only a zero difference may read z = 0.
         rows = np.tile(np.array([3, 1, 0]), (200, 1))
-        bounds = np.linspace(0, 200, mc.DEFAULT_N_BATCHES + 1, dtype=int)
-        batch_accs = [mc.MomentAccumulator.from_block(rows[lo:hi])
-                      for lo, hi in zip(bounds[:-1], bounds[1:])]
-        total = batch_accs[0]
-        for acc in batch_accs[1:]:
-            total = total.merge(acc)
         run = mc.ExperimentRun(model="alloc", params={"n": 4, "m": 3, "max_k": 2},
-                               reps=200, seed=0, acc=total, batch_accs=batch_accs,
+                               reps=200, seed=0, acc=mc.MomentAccumulator.from_block(rows),
                                samples=rows.astype(float))
-        report = mc.compare_to_theory(run, run.acc.mean, np.eye(3))
+        return mc.compare_to_theory(run, run.acc.mean, np.eye(3))
+
+    def test_zero_stderr_covariance_fails(self):
+        report = self._zero_stderr_report()
         cov = {(e.i, e.j): e for e in report.entries if e.kind == "cov"}
         assert all(e.stderr == 0.0 for e in cov.values())
         assert all(cov[i, i].z == math.inf for i in range(3))
         assert cov[0, 1].z == 0.0 and cov[1, 2].z == 0.0
         assert not report.passed
+
+    def test_infinite_z_is_written_as_strict_json(self, tmp_path):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        report = self._zero_stderr_report()
+        report.entries.append(report.entries[-1]._replace(z=-math.inf))
+        out = tmp_path / "report.json"
+        cli.emit_report(report, str(out))
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert [e["z"] for e in doc["entries"] if isinstance(e["z"], str)] == [
+            "inf", "inf", "inf", "-inf"]
+        back = cli.parse_report(str(out))
+        assert [e.z for e in back.entries] == [e.z for e in report.entries]
 
     def test_report_roundtrip(self):
         run = mc.run_experiment("alloc", {"n": 4, "m": 3, "max_k": 1},
