@@ -36,6 +36,9 @@ MIN_TOTAL_COUNT = 20        # fewest expected counts of a marginal over all repl
 # truncation index of every lam up to ~1700
 MAX_TRANSFER_K = 2000
 MONOTONE_MAX_N, MONOTONE_MAX_M = 8, 12      # monotone's caps, which bound its run time
+# the degree chain stops at 6 vertices: G(7, m) enumerates up to C(21, 10) = 352,716
+# graphs (about 10 s), and G(8, m) passes enumerate_gnm_degree_counts' 2M-graph cap
+MONOTONE_MAX_GRAPH_N = 6
 
 
 def _read_config_file(path: str) -> dict:
@@ -135,13 +138,13 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _theory_for(model: str, args) -> tuple[np.ndarray, np.ndarray]:
+def _theory_for(model: str, params: dict) -> tuple[np.ndarray, np.ndarray]:
     if model == "spacings":
-        residual = limit_theory.spacings_limit_constants(args.a).residual
+        residual = limit_theory.spacings_limit_constants(params["a"]).residual
         return np.zeros(1), np.array([[residual]])
-    lam = mc_engine.model_lambda_n(model, vars(args))
-    mat = limit_theory.theory_cov_matrix(model, lam, args.max_k).matrix
-    return np.zeros(args.max_k + 1), mat
+    lam = mc_engine.model_lambda_n(model, params)
+    mat = limit_theory.theory_cov_matrix(model, lam, params["max_k"]).matrix
+    return np.zeros(params["max_k"] + 1), mat
 
 
 def _params(args) -> dict:
@@ -258,7 +261,7 @@ def check_args(args) -> None:
 def _run_sampling_experiment(args, params: dict) -> mc_engine.VerificationReport:
     run = mc_engine.run_experiment(args.experiment, params, args.reps, args.seed,
                                    workers=args.workers, dump_path=args.dump)
-    theory_mean, theory_cov = _theory_for(args.experiment, args)
+    theory_mean, theory_cov = _theory_for(args.experiment, params)
     return mc_engine.verify(run, theory_mean, theory_cov, z_gate=args.z_gate,
                             ks_gate=args.ks_gate)
 
@@ -271,17 +274,29 @@ def _transfer_checks(args) -> list[tuple]:
 
 
 def _monotone_checks(args) -> list[tuple]:
-    """Empty boxes after m throws are stochastically at most those after m - 1,
-    for every n and m; the value is the first point where the CDFs cross the
-    wrong way (None when dominance holds)."""
+    """Acceptance criterion 7: for every m up to --max-m, the empty boxes after
+    m throws into 2 <= n <= --n boxes, and the vertices of degree <= j < v in
+    G(v, m) for 2 <= v <= min(--n, MONOTONE_MAX_GRAPH_N) and m <= C(v, 2), are
+    stochastically at most those at m - 1.  A check passes when dominance holds
+    and every atom (x1, x2, mass) of the quantile coupling has x1 <= x2; its
+    value is the first point where the CDFs cross the wrong way, else None."""
+    def check(name, smaller, larger):
+        holds, witness = monotone.check_stochastic_dominance(smaller, larger)
+        atoms = monotone.quantile_coupling(smaller, larger) if holds else []
+        return name, witness, None, holds and all(x1 <= x2 for x1, x2, _ in atoms)
+
     checks = []
     for n in range(2, args.n + 1):
-        prev = monotone.exact_empty_box_law(n, 0)
-        for m in range(1, args.max_m + 1):
-            law = monotone.exact_empty_box_law(n, m)
-            holds, witness = monotone.check_stochastic_dominance(law, prev)
-            checks.append((f"empty boxes n={n}: m={m} <=st m={m - 1}", witness, None, holds))
-            prev = law
+        laws = [monotone.exact_empty_box_law(n, m) for m in range(args.max_m + 1)]
+        checks += [check(f"empty boxes n={n}: m={m} <=st m={m - 1}", laws[m], laws[m - 1])
+                   for m in range(1, len(laws))]
+    for v in range(2, min(args.n, MONOTONE_MAX_GRAPH_N) + 1):
+        graphs = [monotone.gnm_count_law(v, m)
+                  for m in range(min(args.max_m, math.comb(v, 2)) + 1)]
+        for j in range(v):
+            laws = [monotone.functional_law(g, lambda c: c[: j + 1].sum()) for g in graphs]
+            checks += [check(f"vertices of degree <= {j}, n={v}: m={m} <=st m={m - 1}",
+                             laws[m], laws[m - 1]) for m in range(1, len(laws))]
     return checks
 
 

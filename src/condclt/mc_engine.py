@@ -413,11 +413,11 @@ class VerificationReport:
 def _entries(kind: str, index, theory, estimate, stderr) -> list[ComparisonEntry]:
     """One ComparisonEntry per (i, j) of index, from the matching theory,
     estimate and standard-error values; a zero SE gives z = 0 for a zero
-    difference and z = inf otherwise."""
+    difference and otherwise an infinite z with the sign of the difference."""
     out = []
     for (i, j), t, e, se in zip(index, theory.tolist(), estimate.tolist(), stderr.tolist()):
         diff = e - t
-        z = diff / se if se > 0 else (0.0 if diff == 0.0 else math.inf)
+        z = diff / se if se > 0 else (0.0 if diff == 0.0 else math.copysign(math.inf, diff))
         out.append(ComparisonEntry(kind, i, j, t, e, se, z))
     return out
 

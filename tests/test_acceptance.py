@@ -9,13 +9,12 @@ the whole suite is deterministic.
 import argparse
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-from condclt import cli, cwold, limit_theory as lt, mc_engine as mc, monotone
+from condclt import cli, limit_theory as lt, mc_engine as mc
 from exact_laws import LAWS, g_test_pvalue, sampled_rows
 
 LAMBDAS = [0.5, 1.0, 2.0, 4.0]
@@ -26,6 +25,11 @@ def report(num: int, ok: bool, detail: str = "") -> bool:
     suffix = f" ({detail})" if detail else ""
     print(f"criterion {num}: {tag}{suffix}")
     return ok
+
+
+def theory(run):
+    """The limit mean and covariance that condclt gates the run against."""
+    return cli._theory_for(run.model, run.params)
 
 
 @pytest.fixture(scope="module")
@@ -77,8 +81,7 @@ def test_criterion_2_allocation_graph_coincidence():
 
 def test_criterion_3_weiss_variance(alloc_run):
     target = lt.weiss_variance(1.0)
-    rep = mc.compare_to_theory(alloc_run, np.zeros(6),
-                               lt.theory_cov_matrix(lt.ALLOC, 1.0, 5).matrix)
+    rep = mc.compare_to_theory(alloc_run, *theory(alloc_run))
     mean0 = next(e for e in rep.entries if e.kind == "mean" and e.i == 0)
     var0 = next(e for e in rep.entries if e.kind == "cov" and e.i == 0 and e.j == 0)
     ok = abs(mean0.z) <= 4.0 and abs(var0.z) <= 4.0
@@ -87,8 +90,7 @@ def test_criterion_3_weiss_variance(alloc_run):
 
 
 def test_criterion_4_multivariate_allocation(alloc_run):
-    theory = lt.theory_cov_matrix(lt.ALLOC, 1.0, 5).matrix
-    rep = mc.verify(alloc_run, np.zeros(6), theory)
+    rep = mc.verify(alloc_run, *theory(alloc_run))
     ks = [e["distance"] for e in rep.normality]
     report(4, rep.passed, f"max |z| {rep.max_abs_z():.2f}, max KS {max(ks):.4f}")
     # Covariance gates and the KS gates for the well-populated marginals must
@@ -103,10 +105,8 @@ def test_criterion_4_multivariate_allocation(alloc_run):
 
 
 def test_criterion_5_degree_covariances(gnp_run, gnm_run):
-    gnp_theory = lt.theory_cov_matrix(lt.GNP, 2.0, 8).matrix
-    gnm_theory = lt.theory_cov_matrix(lt.GNM, 2.0, 8).matrix
-    rep_p = mc.compare_to_theory(gnp_run, np.zeros(9), gnp_theory)
-    rep_m = mc.compare_to_theory(gnm_run, np.zeros(9), gnm_theory)
+    rep_p = mc.compare_to_theory(gnp_run, *theory(gnp_run))
+    rep_m = mc.compare_to_theory(gnm_run, *theory(gnm_run))
     p01 = next(e for e in rep_p.entries if e.kind == "cov" and (e.i, e.j) == (0, 1))
     m01 = next(e for e in rep_m.entries if e.kind == "cov" and (e.i, e.j) == (0, 1))
     # Sign contrast: the (0,1) entry is consistent with 0 under G(n,p) but
@@ -144,64 +144,39 @@ def test_criterion_6_exact_small_instance_oracle(tmp_path):
 
 
 def test_criterion_7_monotonicity_suite():
-    ok = True
-    # Empty boxes stochastically decreasing in the ball count.
-    for n in range(2, 6):
-        for m in range(8):
-            larger = monotone.exact_empty_box_law(n, m)
-            smaller = monotone.exact_empty_box_law(n, m + 1)
-            holds, _ = monotone.check_stochastic_dominance(smaller, larger)
-            coupling = monotone.quantile_coupling(smaller, larger)
-            ok = ok and holds and all(x1 <= x2 for x1, x2, _ in coupling)
-    # Cumulative degree counts decreasing in the edge count at n = 4.
-    laws = {m: monotone.gnm_count_law(4, m) for m in range(7)}
-    for j in range(4):
-        def stat(counts, j=j):
-            return counts[: j + 1].sum()
-        for m in range(6):
-            larger = monotone.functional_law(laws[m], stat)
-            smaller = monotone.functional_law(laws[m + 1], stat)
-            holds, _ = monotone.check_stochastic_dominance(smaller, larger)
-            coupling = monotone.quantile_coupling(smaller, larger)
-            ok = ok and holds and all(x1 <= x2 for x1, x2, _ in coupling)
+    # the records of condclt monotone --n 5 --max-m 8, decided exactly: the
+    # empty boxes for n = 2..5, m = 1..8 and the vertices of degree <= j in
+    # G(v, m) for v = 2..5, j < v, m <= min(8, C(v, 2)) fall stochastically in
+    # m, and every atom of each quantile coupling has x1 <= x2
+    records = cli._monotone_checks(argparse.Namespace(n=5, max_m=8))
+    ok = len(records) == 107 and all(passed for *_, passed in records)
     assert report(7, ok, "exact, tolerance 0")
 
 
 def test_criterion_8_spacings(spacings_run):
-    residual = lt.spacings_limit_constants(1.0).residual
-    rep = mc.verify(spacings_run, np.zeros(1), np.array([[residual]]))
+    mean, cov = theory(spacings_run)
+    rep = mc.verify(spacings_run, mean, cov)
     ks = rep.normality[0]["distance"]
-    assert report(8, rep.passed, f"var target {residual:.6f}, max |z| "
+    assert report(8, rep.passed, f"var target {cov[0, 0]:.6f}, max |z| "
                                  f"{rep.max_abs_z():.2f}, KS {ks:.4f}")
 
 
 def test_criterion_9_cramer_wold_bench():
+    # the records of condclt cwold, decided exactly: |phi_X - phi_Y| is 0 on the
+    # closed quadrant, 1/5 at (-3/5, 3/5), and 1 at its largest off the
+    # quadrant, at (1, -1)
     start = time.perf_counter()
-    cf_x, cf_y = cwold.canonical_pair()
-    octant_max, _ = cwold.octant_equality_scan(cf_x, cf_y, h=0.015, extent=3.0)
-    point = (np.array([-0.6]), np.array([0.6]))
-    diff = abs(float(cwold.eval_cf(cf_x, point)[0] - cwold.eval_cf(cf_y, point)[0]))
-    d_contrast = cwold.marginal_difference_along(cf_x, cf_y, (1.0, -1.0))
-    d_agree = cwold.marginal_difference_along(cf_x, cf_y, (1.0, 1.0))
-    # the same claims decided exactly: equal on the quadrant, 1/5 at
-    # (-3/5, 3/5), and the largest difference, 1, off it at (1, -1)
-    quadrant, off = cwold.quadrant_decision(cf_x, cf_y)
-    exact_diff = cwold.exact_difference(cf_x, cf_y, Fraction(-3, 5), Fraction(3, 5))
+    records = cli._cwold_checks(argparse.Namespace())
     elapsed = time.perf_counter() - start
-    ok = (octant_max < 1e-12 and abs(diff - 0.2) < 1e-12
-          and d_contrast >= 0.19 and d_agree < 1e-14 and elapsed < 1.0
-          and quadrant is None and abs(exact_diff) == Fraction(1, 5)
-          and off == ((1, -1), -1))
-    off_text = "none" if off is None else f"{off[1]} at ({off[0][0]}, {off[0][1]})"
-    assert report(9, ok, f"octant {octant_max:.1e}, point diff {diff:.3f}, "
-                         f"(1,-1) {d_contrast:.3f}, (1,1) {d_agree:.1e}; exact: quadrant "
-                         f"{'equal' if quadrant is None else 'unequal'}, point {exact_diff}, "
-                         f"off {off_text}")
+    quadrant, point, off = (value for _, value, _, _ in records)
+    ok = (all(passed for *_, passed in records) and (quadrant, point, off) == ("0", "1/5", "1")
+          and "(at (1, -1))" in records[2][0] and elapsed < 1.0)
+    assert report(9, ok, f"exact: quadrant {quadrant}, point {point}, "
+                         f"off-quadrant max {off} at (1, -1), {elapsed:.2f}s")
 
 
 def test_criterion_10_moment_convergence(gnm_run):
-    theory = lt.theory_cov_matrix(lt.GNM, 2.0, 8).matrix
-    rep = mc.compare_to_theory(gnm_run, np.zeros(9), theory)
+    rep = mc.compare_to_theory(gnm_run, *theory(gnm_run))
     # first and second moments: the means and the variance diagonal
     max_z = max(abs(e.z) for e in rep.entries if e.kind == "mean" or e.i == e.j)
     assert report(10, max_z <= rep.z_gate, f"max |z| {max_z:.2f}")
@@ -258,11 +233,11 @@ def test_criterion_11_engineering_gates(alloc_run):
 
     # Anti-gate: a 50%-corrupted theory entry must flip the criterion-4 run
     # to FAIL.
-    theory = lt.theory_cov_matrix(lt.ALLOC, 1.0, 5).matrix
-    clean = mc.compare_to_theory(alloc_run, np.zeros(6), theory)
-    corrupted = theory.copy()
+    mean, cov = theory(alloc_run)
+    clean = mc.compare_to_theory(alloc_run, mean, cov)
+    corrupted = cov.copy()
     corrupted[0, 0] *= 1.5
-    dirty = mc.compare_to_theory(alloc_run, np.zeros(6), corrupted)
+    dirty = mc.compare_to_theory(alloc_run, mean, corrupted)
     anti_gate = clean.passed and not dirty.passed
 
     ok = deterministic and anti_gate

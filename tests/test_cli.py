@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,15 @@ class TestAnalyticSubcommands:
 
     def test_monotone_passes(self, capsys):
         assert run_cli("monotone", "--n", "5", "--max-m", "8") == cli.EXIT_OK
-        assert "monotone: PASS (32/32 checks passed, wall = " in capsys.readouterr().out
+        assert "monotone: PASS (107/107 checks passed, wall = " in capsys.readouterr().out
+
+    def test_monotone_at_its_caps_is_quick(self, capsys):
+        # the degree chain stops at MONOTONE_MAX_GRAPH_N = 6 vertices: G(8, m)
+        # would pass the enumeration cap, and the run would exit 3
+        start = time.perf_counter()
+        assert run_cli("monotone", "--n", "8", "--max-m", "12") == cli.EXIT_OK
+        assert time.perf_counter() - start < 2.0
+        assert "monotone: PASS (241/241 checks passed, wall = " in capsys.readouterr().out
 
     def test_failing_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(monotone, "check_stochastic_dominance",
@@ -44,12 +53,37 @@ class TestAnalyticSubcommands:
         out = tmp_path / "report.json"
         code = run_cli("monotone", "--n", "2", "--max-m", "1", "--out", str(out))
         assert code == cli.EXIT_GATE_FAILURE
-        assert ("monotone: FAIL (0/1 checks passed, first failure: "
+        assert ("monotone: FAIL (0/3 checks passed, first failure: "
                 "empty boxes n=2: m=1 <=st m=0, wall = ") in capsys.readouterr().out
         report = cli.parse_report(str(out))
-        assert report.checks == [{"name": "empty boxes n=2: m=1 <=st m=0", "value": 0.0,
-                                  "bound": None, "passed": False}]
+        assert report.checks[0] == {"name": "empty boxes n=2: m=1 <=st m=0", "value": 0.0,
+                                    "bound": None, "passed": False}
+        assert not any(c["passed"] for c in report.checks)
         assert report.entries == [] and not report.passed
+
+    @pytest.mark.parametrize("fault", ["crossing-coupling", "no-dominance"])
+    def test_failing_degree_record_fails_the_run(self, fault, tmp_path, capsys, monkeypatch):
+        real_coupling, real_law = monotone.quantile_coupling, monotone.gnm_count_law
+
+        def crossing(d1, d2):
+            # the vertices of degree 0 in G(2, 1) and G(2, 0): point masses at 0 and 2
+            atoms = real_coupling(d1, d2)
+            swap = (d1.support, d2.support) == ((0.0,), (2.0,))
+            return [(x2, x1, p) for x1, x2, p in atoms] if swap else atoms
+
+        if fault == "crossing-coupling":        # dominance holds, but an atom has x1 > x2
+            monkeypatch.setattr(monotone, "quantile_coupling", crossing)
+        else:                                   # G(v, C(v, 2) - m) in place of G(v, m)
+            monkeypatch.setattr(monotone, "gnm_count_law",
+                                lambda v, m: real_law(v, math.comb(v, 2) - m))
+        out = tmp_path / "report.json"
+        code = run_cli("monotone", "--n", "2", "--max-m", "1", "--out", str(out))
+        assert code == cli.EXIT_GATE_FAILURE
+        name = "vertices of degree <= 0, n=2: m=1 <=st m=0"
+        assert f"FAIL (2/3 checks passed, first failure: {name}, wall = " in capsys.readouterr().out
+        witness = None if fault == "crossing-coupling" else 0.0
+        assert [c for c in cli.parse_report(str(out)).checks if not c["passed"]] == [
+            {"name": name, "value": witness, "bound": None, "passed": False}]
 
     def test_cwold_passes(self, capsys):
         assert run_cli("cwold") == cli.EXIT_OK
