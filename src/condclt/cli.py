@@ -279,11 +279,14 @@ def _monotone_checks(args) -> list[tuple]:
     G(v, m) for 2 <= v <= min(--n, MONOTONE_MAX_GRAPH_N) and m <= C(v, 2), are
     stochastically at most those at m - 1.  A check passes when dominance holds
     and every atom (x1, x2, mass) of the quantile coupling has x1 <= x2; its
-    value is the first point where the CDFs cross the wrong way, else None."""
+    value is the first point where the CDFs cross the wrong way, else the
+    first atom [x1, x2] with x1 > x2, else None."""
     def check(name, smaller, larger):
         holds, witness = monotone.check_stochastic_dominance(smaller, larger)
-        atoms = monotone.quantile_coupling(smaller, larger) if holds else []
-        return name, witness, None, holds and all(x1 <= x2 for x1, x2, _ in atoms)
+        if holds:
+            atoms = monotone.quantile_coupling(smaller, larger)
+            witness = next(([x1, x2] for x1, x2, _ in atoms if x1 > x2), None)
+        return name, witness, None, witness is None
 
     checks = []
     for n in range(2, args.n + 1):

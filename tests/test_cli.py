@@ -81,7 +81,7 @@ class TestAnalyticSubcommands:
         assert code == cli.EXIT_GATE_FAILURE
         name = "vertices of degree <= 0, n=2: m=1 <=st m=0"
         assert f"FAIL (2/3 checks passed, first failure: {name}, wall = " in capsys.readouterr().out
-        witness = None if fault == "crossing-coupling" else 0.0
+        witness = [2.0, 0.0] if fault == "crossing-coupling" else 0.0
         assert [c for c in cli.parse_report(str(out)).checks if not c["passed"]] == [
             {"name": name, "value": witness, "bound": None, "passed": False}]
 

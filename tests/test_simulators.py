@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condclt import mc_engine, monotone, simulators as sim
 from condclt.errors import CondCltError
@@ -250,10 +252,17 @@ class TestDecodePairs:
         assert ends.tobytes() == np.concatenate(_reference_decode_pairs(n, idx)).tobytes()
 
 
+def _assert_same_next_draws(rng, ref_rng):
+    """A 32-bit draw, which takes a buffered half output first, then a 64-bit
+    one, which ignores the buffer."""
+    assert rng.integers(0, 7, size=3).tolist() == ref_rng.integers(0, 7, size=3).tolist()
+    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+
 def _assert_same_loads(deg, rng, ref, ref_rng):
     assert deg.dtype == ref.dtype
     assert deg.tobytes() == ref.tobytes()
-    assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+    _assert_same_next_draws(rng, ref_rng)
 
 
 class TestDegreePath:
@@ -293,19 +302,119 @@ class TestDegreePath:
         self.check_gnp(10**5, 2e-5, 11)
 
 
+def _pcg_state(rng):
+    """What decides the next PCG64 draws: the buffered half output counts
+    only while has_uint32 is set."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"], state["uinteger"] if state["has_uint32"] else None
+
+
+def _rng_with_first_word(word):
+    """A PCG64 Generator whose next output has low half `word`: the state one
+    step before a state whose XSL-RR output, rotr(hi ^ lo, hi >> 58), is
+    (an arbitrary high half, word)."""
+    out = 0x9E3779B9 << 32 | word
+    hi = 5 << 58 | 0x1234567
+    rot = hi >> 58
+    lo = hi ^ (out << rot | out >> (64 - rot)) & (1 << 64) - 1
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    prev = ((hi << 64 | lo) - inc) * pow(mc_engine._PCG_MULT, -1, 1 << 128) % (1 << 128)
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": prev, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+class _Spy:
+    """A Generator stand-in for _uniform_below that records whether the draw
+    fell back to rng.integers."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.fell_back = rng, rng.bit_generator, False
+
+    def integers(self, *args, **kwargs):
+        self.fell_back = True
+        return self.rng.integers(*args, **kwargs)
+
+
+def _check_uniform_below(high, size, rng, ref_rng):
+    """_uniform_below against rng.integers on a twin generator: values, dtype,
+    PCG64 state and the next draws; returns whether it fell back."""
+    spy = _Spy(rng)
+    got = sim._uniform_below(high, size, spy)
+    want = ref_rng.integers(0, high, size=size)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if isinstance(rng.bit_generator, np.random.PCG64):
+        assert _pcg_state(rng) == _pcg_state(ref_rng)
+    _assert_same_next_draws(rng, ref_rng)
+    return spy.fell_back
+
+
+class TestUniformBelow:
+    """The allocation draw against rng.integers, word for word.  High =
+    2**31 + 1 rejects about half the words, so the size-th value often ends
+    on a low half and leaves the high half in the buffer."""
+
+    @pytest.mark.parametrize("high", [2, 3, 10**4, 1_999_000, 2**31 + 1, 2**31 + 12345,
+                                      2**32 - 1, 2**32])
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 1001, 2018, 10**4])
+    def test_matches_integers(self, high, size):
+        for seed in range(8):
+            assert not _check_uniform_below(high, size, rng_for(seed), rng_for(seed))
+
+    @given(st.integers(2, 2**32), st.integers(0, 3000), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_integers_property(self, high, size, seed):
+        assert _check_uniform_below(high, size, rng_for(seed), rng_for(seed)) == (size == 0)
+
+    @pytest.mark.parametrize("high", [3, 10_001, 2**31 + 1])
+    @pytest.mark.parametrize("offset", [0, -1])
+    def test_rejection_boundary(self, high, offset):
+        # a first word whose low product word w high mod 2**32 is 2**32 mod
+        # high, which numpy keeps, or one less, which it draws again for;
+        # random words hit either with probability 2**-32
+        word = ((1 << 32) % high + offset) * pow(high, -1, 1 << 32) % (1 << 32)
+        assert _rng_with_first_word(word).bit_generator.random_raw() & 0xFFFFFFFF == word
+        for size in (1, 2, 3):
+            assert not _check_uniform_below(high, size, _rng_with_first_word(word),
+                                            _rng_with_first_word(word))
+
+    @pytest.mark.parametrize("high,size", [(np.int32(7), np.int64(1001)),
+                                           (np.uint64(2**31 + 1), np.int32(7))])
+    def test_numpy_integer_arguments(self, high, size):
+        assert not _check_uniform_below(high, size, rng_for(9), rng_for(9))
+
+    # high = 1 draws nothing in numpy
+    @pytest.mark.parametrize("high,size", [(1, 5), (2**32 + 1, 9), (2**40, 4), (10, 0)])
+    def test_falls_back_outside_the_32_bit_range(self, high, size):
+        assert _check_uniform_below(high, size, rng_for(4), rng_for(4))
+
+    def test_falls_back_with_a_buffered_word(self):
+        rng, ref_rng = rng_for(5), rng_for(5)
+        for g in (rng, ref_rng):                # an odd 32-bit draw buffers a high half
+            g.integers(0, 10, size=3)
+        assert rng.bit_generator.state["has_uint32"]
+        assert _check_uniform_below(10**4, 1001, rng, ref_rng)
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_falls_back_for_other_bit_generators(self, bitgen):
+        rng, ref_rng = (np.random.Generator(bitgen(6)) for _ in range(2))
+        assert _check_uniform_below(10**4, 1001, rng, ref_rng)
+
+
 class TestLoadKernels:
     """The load kernels against a draw and a count written out longhand, rng
     state included."""
 
-    @pytest.mark.parametrize("n,m", [(10_000, 10_000), (5, 200), (7, 0), (1, 9)])
+    @pytest.mark.parametrize("n,m", [(10_000, 10_000), (5, 200), (7, 0), (1, 9),
+                                     (5, 201), (10_000, 9_999)])
     def test_allocation_loads(self, n, m):
         rng, ref_rng = rng_for(3), rng_for(3)
         loads = sim.allocation_loads(n, m, rng)
         ref = np.zeros(n, dtype=np.int64)
         for box in ref_rng.integers(0, n, size=m).tolist():
             ref[box] += 1
-        assert loads.dtype == ref.dtype and loads.tobytes() == ref.tobytes()
-        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+        _assert_same_loads(loads, rng, ref, ref_rng)
 
     @pytest.mark.parametrize("n,m", [(30, 60), (8, 25), (2000, 2000), (4, 0)])
     def test_recount_oracle(self, n, m):
@@ -332,7 +441,8 @@ class TestPublicSamplers:
         assert_conserved(loads, len(ref), units, max_k)
 
     @pytest.mark.parametrize("n,m,max_k", [(10_000, 10_000, 5), (5, 200, 2), (7, 0, 3),
-                                           (1, 50, 40), (30, 40, 0)])
+                                           (1, 50, 40), (30, 40, 0), (5, 201, 2),
+                                           (10_000, 9_999, 5)])
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_allocation(self, n, m, max_k, seed):
         rng, ref_rng = rng_for(seed), rng_for(seed)
