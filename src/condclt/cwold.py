@@ -9,8 +9,8 @@ sum/difference construction whose two instances agree on the closed first
 quadrant yet differ elsewhere.
 
 The base cfs are piecewise linear with rational breakpoints, so
-``quadrant_decision`` decides equality in ``Fraction`` arithmetic; the float
-scans are its reference.
+``quadrant_decision`` decides equality in ``Fraction`` arithmetic for pairs
+that share a factor; the float scans are its reference.
 """
 
 from __future__ import annotations
@@ -121,69 +121,57 @@ def exact_difference(cf_x: CharFnExpr, cf_y: CharFnExpr, t1: Fraction,
             - _exact_scalar(cf_y.u, t1 + t2) * _exact_scalar(cf_y.v, t1 - t2))
 
 
-def _breaks(bases, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """lo, hi, 0 and every breakpoint of the base cfs between them, sorted."""
-    points = {lo, hi, Fraction(0)}
+def _probes(bases, hi: Fraction) -> list[Fraction]:
+    """0, hi, the breakpoints of the even bases between them and the midpoints of
+    neighbours, sorted: where a function linear between breakpoints is decided."""
+    points = {Fraction(0), Fraction(hi)}
     for b in bases:
         if b.kind == "TRIANGULAR":
-            points |= {-Fraction(b.scale), Fraction(b.scale)}
+            points.add(Fraction(b.scale))
         else:
-            points |= set(map(Fraction, range(math.floor(lo), math.ceil(hi) + 1)))
-    return sorted(x for x in points if lo <= x <= hi)
-
-
-def _wedge_corners(s_grid: list[Fraction], d_grid: list[Fraction]):
-    """For each grid cell that meets the open wedge |d| < s, the corners of a
-    sub-rectangle of that part, all in the closed wedge."""
-    for s0, s1 in zip(s_grid, s_grid[1:]):
-        for d0, d1 in zip(d_grid, d_grid[1:]):
-            low = min(abs(d0), abs(d1))     # 0 is a breakpoint, so |d| >= low on the cell
-            if low < s1:
-                mid = (low + s1) / 2        # |d| <= mid <= s on the sub-rectangle
-                for s in (max(s0, mid), s1):
-                    for d in (max(d0, -mid), min(d1, mid)):
-                        yield s, d
+            points |= set(map(Fraction, range(math.ceil(hi) + 1)))
+    grid = sorted(x for x in points if x <= hi)
+    return sorted({*grid, *((p + q) / 2 for p, q in zip(grid, grid[1:]))})
 
 
 def quadrant_decision(cf_x: CharFnExpr, cf_y: CharFnExpr):
-    """Decide phi_X = phi_Y on the closed first quadrant, exactly.
+    """Decide phi_X = phi_Y on the closed first quadrant, exactly, for two PAIR
+    cfs with triangular sum factors that share their sum or difference factor.
 
-    In s = t1 + t2, d = t1 - t2, f = phi_X - phi_Y is bilinear on each cell of
-    the breakpoint grid, so it vanishes on a cell's part of the quadrant
-    |d| <= s iff it does at the corners of a sub-rectangle there.  The sum
-    factors vanish from s = top on; off the quadrant the difference factors
-    repeat with period 2 past their triangular scales.
+    In s = t1 + t2, d = t1 - t2 the quadrant is |d| <= s, and f = phi_X - phi_Y
+    is the shared factor times g, the difference of the other two: an even
+    function of one variable, linear between breakpoints.
+    - Shared sum factor u of scale a: f = u(s) g(d).  On the quadrant u > 0
+      where s < a, so f = 0 there iff g = 0 on [0, a); probe x at (t1, t2) =
+      (x, 0), where s = d = x.  Off it |u| <= u(0) = 1: |f| peaks at
+      (x/2, -x/2).  Past the largest triangular difference scale D, g is 0 or
+      of period 2, so x <= D + 2 decides both.
+    - Shared difference factor v: f = v(d) g(s) and |v| <= v(0) = 1.  The
+      line d = 0 is on the quadrant for s >= 0 and off it for s < 0, so probe
+      (x/2, x/2) and (-x/2, -x/2), x up to the larger scale.
 
     Returns (quadrant, off), each ((t1, t2), f) in Fractions or None: a
-    quadrant point with f != 0, and the grid point off the quadrant with the
-    largest |f|.  With f = 0 on the quadrant, that is max |f| over the plane.
+    quadrant point with f != 0, and the farthest probe off the quadrant with
+    the largest |f|.  With f = 0 on the quadrant, that is max |f| over the plane.
     """
     if (cf_x.kind != "PAIR" or cf_y.kind != "PAIR"
             or "PERIODIC_TRIANGULAR" in (cf_x.u.kind, cf_y.u.kind)):
         raise CondCltError("the decision takes two PAIR cfs with triangular sum factors")
-    top = max(Fraction(cf_x.u.scale), Fraction(cf_y.u.scale))
+
     sums, diffs = (cf_x.u, cf_y.u), (cf_x.v, cf_y.v)
-
-    def point(s, d):
-        t1, t2 = (s + d) / 2, (s - d) / 2
-        return (t1, t2), exact_difference(cf_x, cf_y, t1, t2)
-
-    # Past the largest triangular difference scale D the difference factors
-    # are 0 or of period 2, so f(s, d) = f(s, d -+ 2) wherever |d| > D + 2: the
-    # wedge needs |d| <= D + 2 only, and off it s < |d| <= max(s, D) + 2.
-    reach = max([Fraction(b.scale) for b in diffs if b.kind == "TRIANGULAR"],
-                default=Fraction(0)) + 2
-    s_grid, d_grid = _breaks(sums, Fraction(0), top), _breaks(diffs, -reach, reach)
-    corners = (point(s, d) for s, d in _wedge_corners(s_grid, d_grid))
-    quadrant = next((c for c in corners if c[1]), None)
-
-    def off_grid(s):
-        if s <= reach - 2:
-            return d_grid[::-1]
-        band = _breaks(diffs, s, s + 2)
-        return sorted({*band, *(-d for d in band)}, reverse=True)
-
-    # d descending, so that of two mirror points the one with t1 > t2 comes first
-    off = max((point(s, d) for s in _breaks(sums, -top, top) for d in off_grid(s)
-               if abs(d) > s), key=lambda c: abs(c[1]))
+    if sums[0] == sums[1]:
+        a = Fraction(sums[0].scale)
+        reach = 2 + max([Fraction(b.scale) for b in diffs if b.kind == "TRIANGULAR"], default=0)
+        xs = _probes((sums[0], *diffs), reach)      # a is a breakpoint where a <= reach
+        inside = [(x, Fraction(0)) for x in xs if x < a]
+        outside = [(x / 2, -x / 2) for x in xs[1:]]
+    elif diffs[0] == diffs[1]:
+        xs = _probes(sums, max(Fraction(b.scale) for b in sums))
+        inside = [(x / 2, x / 2) for x in xs]
+        outside = [(-x / 2, -x / 2) for x in xs[1:]]
+    else:
+        raise CondCltError("the decision takes two PAIR cfs that share a factor")
+    quadrant = next(((t, f) for t in inside if (f := exact_difference(cf_x, cf_y, *t))), None)
+    off = max(((t, exact_difference(cf_x, cf_y, *t)) for t in reversed(outside)),
+              key=lambda c: abs(c[1]))
     return quadrant, off if off[1] else None

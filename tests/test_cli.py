@@ -100,6 +100,15 @@ class TestAnalyticSubcommands:
         assert report.checks[2]["name"].endswith("at (1, -1)) > bound")
         assert report.params == {} and report.seed is None
 
+    def test_module_entry_point(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "condclt.cli", "cwold"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert proc.stdout.startswith("cwold: PASS (3/3 checks passed, wall = ")
+
     @pytest.mark.parametrize("argv", [("cwold",), ("monotone", "--n", "3", "--max-m", "4")],
                              ids=["cwold", "monotone"])
     def test_table_holds_one_row_per_check(self, argv, tmp_path):

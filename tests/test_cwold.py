@@ -71,6 +71,14 @@ class TestPairComposition:
         with pytest.raises(CondCltError, match="base cf takes one argument"):
             cwold.eval_cf(cwold.triangular(), [1.0, 2.0])
 
+    def test_unknown_base_kind(self):
+        # pair() refuses a nested PAIR; a node built by hand reaches the evaluator
+        x, _ = cwold.canonical_pair()
+        with pytest.raises(CondCltError, match="PAIR is not a scalar base"):
+            cwold.eval_cf(cwold.CharFnExpr(kind="PAIR", u=x, v=x), ([0.0], [0.0]))
+        with pytest.raises(CondCltError, match="UNIFORM is not a scalar base"):
+            cwold.eval_cf(cwold.CharFnExpr(kind="UNIFORM"), [0.0])
+
     def test_pair_vectorized(self):
         x, y = cwold.canonical_pair()
         t1 = np.linspace(-2, 2, 9)
@@ -226,3 +234,56 @@ class TestExactDecision:
         x = cwold.pair(PER(), TRI())
         with pytest.raises(CondCltError, match="triangular sum factors"):
             cwold.quadrant_decision(x, x)
+
+    def test_witness_short_of_the_next_breakpoint(self):
+        # with the sum scale 5/4 the pair differs on the quadrant only where
+        # 1 < |d| < s < 5/4, short of the midpoint 3/2 of the difference
+        # factors' breakpoints 1 and 2
+        x = cwold.pair(TRI(1.25), TRI())
+        y = cwold.pair(TRI(1.25), PER())
+        (t1, t2), diff = cwold.quadrant_decision(x, y)[0]
+        assert min(t1, t2) >= 0 and 1 < t1 - t2 < 1.25
+        assert diff == cwold.exact_difference(x, y, t1, t2) != 0
+
+    def test_rejects_pair_sharing_no_factor(self):
+        x = cwold.pair(TRI(), TRI())
+        y = cwold.pair(TRI(2.0), PER())
+        with pytest.raises(CondCltError, match="share a factor"):
+            cwold.quadrant_decision(x, y)
+
+
+TRIANGLES = st.fractions(Fraction(1, 6), 4, max_denominator=6).map(lambda a: TRI(float(a)))
+BASES = st.one_of(TRIANGLES, st.just(PER()))
+
+
+@st.composite
+def shared_factor_pairs(draw):
+    """Two PAIR cfs with triangular sum factors that share the sum factor or
+    the difference factor; the free slots take any base."""
+    if draw(st.booleans()):
+        u = draw(TRIANGLES)
+        return cwold.pair(u, draw(BASES)), cwold.pair(u, draw(BASES))
+    v = draw(BASES)
+    return cwold.pair(draw(TRIANGLES), v), cwold.pair(draw(TRIANGLES), v)
+
+
+@given(shared_factor_pairs(), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_decision_holds_at_random_rational_points(xy, rnd):
+    # 60 coordinate pairs in twelfths of [-6, 6]; each gives the quadrant
+    # point (|t1|, |t2|) and the off-quadrant point (t1, -|t2| - 1/12), and f
+    # is symmetric in t1, t2
+    x, y = xy
+    coords = [(Fraction(rnd.randint(-72, 72), 12), Fraction(rnd.randint(-72, 72), 12))
+              for _ in range(60)]
+    quadrant, off = cwold.quadrant_decision(x, y)
+    for (t1, t2), f in filter(None, (quadrant, off)):
+        assert all(isinstance(v, Fraction) for v in (t1, t2, f))
+        assert f != 0 and cwold.exact_difference(x, y, t1, t2) == f
+    assert quadrant is None or min(quadrant[0]) >= 0
+    assert off is None or min(off[0]) < 0
+    bound = abs(off[1]) if off else 0
+    for t1, t2 in coords:
+        if quadrant is None:
+            assert cwold.exact_difference(x, y, abs(t1), abs(t2)) == 0
+        assert abs(cwold.exact_difference(x, y, t1, -abs(t2) - Fraction(1, 12))) <= bound

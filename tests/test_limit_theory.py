@@ -209,6 +209,10 @@ class TestDegreeCovs:
             assert (lt.theory_cov_matrix("gnm", lam, 8).matrix.tobytes()
                     == lt.theory_cov_matrix(lt.GNM, lam, 8).matrix.tobytes())
 
+    def test_rejects_unknown_model(self):
+        with pytest.raises(ValueError, match="model must be one of"):
+            lt.theory_cov_matrix("gnx", 1.0, 4)
+
     def test_rank_one_gap(self):
         # gnp - gnm is the outer product (2/lam) g g^T with g_k = pi(k)(k - lam).
         for lam in LAMBDAS:

@@ -101,6 +101,12 @@ def _assert_rel_close(got, want, rtol=1e-12):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
+class TestModelLambda:
+    def test_rejects_unknown_model(self):
+        with pytest.raises(ValueError, match="no lambda_n for model 'spacings'"):
+            mc.model_lambda_n("spacings", {"n": 10, "a": 1.0})
+
+
 class TestFromBlock:
     # Skewed rows on the scale of standardized counts, so every co-moment is
     # far from 0.

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -173,6 +174,17 @@ class TestExactLaws:
     def test_gnm_law_total_mass(self):
         for m in range(7):
             assert sum(mono.gnm_count_law(4, m).values()) == math.comb(6, m)
+
+    def test_enumeration_caps_raise_before_enumerating(self):
+        # C(28, 12) = 30,421,755 graphs pass the 2,000,000-graph cap that keeps
+        # the CLI's degree chain at MONOTONE_MAX_GRAPH_N vertices, and
+        # C(29, 9) = 10,015,005 compositions pass the 200,000 cap
+        start = time.perf_counter()
+        with pytest.raises(CondCltError, match="too many graphs to enumerate"):
+            mono.gnm_count_law(8, 12)
+        with pytest.raises(CondCltError, match="too many compositions to enumerate"):
+            mono.allocation_count_law(10, 20)
+        assert time.perf_counter() - start < 1.0
 
 
 def criterion_7_pairs():

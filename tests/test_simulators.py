@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from condclt import mc_engine, monotone, simulators as sim
 from condclt.errors import CondCltError
@@ -18,6 +19,20 @@ from exact_laws import LAWS, g_test_pvalue, sampled_rows
 
 def rng_for(seed=0):
     return np.random.default_rng(seed)
+
+
+class IntegersSpy:
+    """A Generator that counts its integers calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 def count_row(loads, max_k):
@@ -221,6 +236,36 @@ class TestEdgeDraw:
         assert idx.dtype == ref.dtype
         assert idx.tobytes() == ref.tobytes()
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+    def test_refilled_draws_are_uniform_subsets(self):
+        # At (n, m) = (30, 261), m = 0.6 C(n,2) still takes the pool path, and
+        # about 1.6 % of the draws call integers again to refill the pool.
+        # Whether a draw refills depends only on how many distinct indices its
+        # first pass holds, so the refilled draws are still uniform m-subsets:
+        # each edge is in one with probability p = m / c, and the inclusion
+        # counts O_e of K draws give sum (O_e - Kp)^2 (c-1) / (c K p (1-p)),
+        # asymptotically chi-squared with c - 1 degrees of freedom.  The first
+        # and last index, where an off-by-one in the draw's range lands, are
+        # also z-tested on their own.
+        n, m, want = 30, 261, 600
+        c = n * (n - 1) // 2
+        spy = IntegersSpy(rng_for(29))
+        counts, kept = np.zeros(c, dtype=np.int64), 0
+        for _ in range(60_000):
+            spy.calls = 0
+            idx = sim._sample_edge_indices(n, m, spy)
+            if spy.calls > 1:
+                assert len(idx) == m and idx[0] >= 0 and idx[-1] < c
+                assert (np.diff(idx) > 0).all()         # sorted and distinct
+                counts[idx] += 1
+                kept += 1
+                if kept == want:
+                    break
+        assert kept == want
+        p = m / c
+        z = (counts - want * p) / math.sqrt(want * p * (1 - p))
+        assert chi2.sf((z ** 2).sum() * (c - 1) / c, c - 1) >= 1e-4
+        assert abs(z[0]) < 3.9 and abs(z[-1]) < 3.9      # two-sided p >= 1e-4
 
     def test_draw_is_a_subset(self):
         idx = sim._sample_edge_indices(2000, 2000, rng_for(5))
