@@ -398,6 +398,12 @@ def main(argv=None) -> int:
             checks_for = {"transfer": _transfer_checks, "monotone": _monotone_checks,
                           "cwold": _cwold_checks}[args.experiment]
             report = _run_analytic(args, _params(args), checks_for)
+            if args.experiment == "monotone" and args.n > MONOTONE_MAX_GRAPH_N:
+                skipped = ", ".join(map(str, range(MONOTONE_MAX_GRAPH_N + 1, args.n + 1)))
+                report.skipped.append({
+                    "gate": "degree chain",
+                    "reason": f"v = {skipped}: G(7, m) enumerates up to 352,716 graphs "
+                              "and G(8, m) passes the enumeration cap"})
         report.provenance = {"condclt": __version__, "numpy": np.__version__,
                              "python": sys.version.split()[0], "seed": report.seed,
                              "workers": getattr(args, "workers", 1), "argv": argv}

@@ -121,16 +121,18 @@ def exact_difference(cf_x: CharFnExpr, cf_y: CharFnExpr, t1: Fraction,
             - _exact_scalar(cf_y.u, t1 + t2) * _exact_scalar(cf_y.v, t1 - t2))
 
 
-def _probes(bases, hi: Fraction) -> list[Fraction]:
-    """0, hi, the breakpoints of the even bases between them and the midpoints of
-    neighbours, sorted: where a function linear between breakpoints is decided."""
-    points = {Fraction(0), Fraction(hi)}
-    for b in bases:
-        if b.kind == "TRIANGULAR":
-            points.add(Fraction(b.scale))
-        else:
-            points |= set(map(Fraction, range(math.ceil(hi) + 1)))
-    grid = sorted(x for x in points if x <= hi)
+def _probes(bases) -> list[Fraction]:
+    """0, the triangular scales (the marks) and, with a periodic base, the
+    integers within one period (2) of a mark, plus the midpoints of neighbours,
+    sorted.  Between neighbouring marks, and past the last, g is linear plus
+    2-periodic (or 0): its maximum, minimum and whether it vanishes are decided
+    within one period of either end, where these probe every linear piece."""
+    marks = {Fraction(0), *(Fraction(b.scale) for b in bases if b.kind == "TRIANGULAR")}
+    points = set(marks)
+    if any(b.kind == "PERIODIC_TRIANGULAR" for b in bases):
+        points |= {Fraction(k) for x in marks
+                   for k in range(max(0, math.ceil(x) - 2), math.floor(x) + 3)}
+    grid = sorted(points)
     return sorted({*grid, *((p + q) / 2 for p, q in zip(grid, grid[1:]))})
 
 
@@ -144,11 +146,10 @@ def quadrant_decision(cf_x: CharFnExpr, cf_y: CharFnExpr):
     - Shared sum factor u of scale a: f = u(s) g(d).  On the quadrant u > 0
       where s < a, so f = 0 there iff g = 0 on [0, a); probe x at (t1, t2) =
       (x, 0), where s = d = x.  Off it |u| <= u(0) = 1: |f| peaks at
-      (x/2, -x/2).  Past the largest triangular difference scale D, g is 0 or
-      of period 2, so x <= D + 2 decides both.
+      (x/2, -x/2).
     - Shared difference factor v: f = v(d) g(s) and |v| <= v(0) = 1.  The
       line d = 0 is on the quadrant for s >= 0 and off it for s < 0, so probe
-      (x/2, x/2) and (-x/2, -x/2), x up to the larger scale.
+      (x/2, x/2) and (-x/2, -x/2).
 
     Returns (quadrant, off), each ((t1, t2), f) in Fractions or None: a
     quadrant point with f != 0, and the farthest probe off the quadrant with
@@ -161,12 +162,11 @@ def quadrant_decision(cf_x: CharFnExpr, cf_y: CharFnExpr):
     sums, diffs = (cf_x.u, cf_y.u), (cf_x.v, cf_y.v)
     if sums[0] == sums[1]:
         a = Fraction(sums[0].scale)
-        reach = 2 + max([Fraction(b.scale) for b in diffs if b.kind == "TRIANGULAR"], default=0)
-        xs = _probes((sums[0], *diffs), reach)      # a is a breakpoint where a <= reach
+        xs = _probes((sums[0], *diffs))             # a is a mark
         inside = [(x, Fraction(0)) for x in xs if x < a]
         outside = [(x / 2, -x / 2) for x in xs[1:]]
     elif diffs[0] == diffs[1]:
-        xs = _probes(sums, max(Fraction(b.scale) for b in sums))
+        xs = _probes(sums)
         inside = [(x / 2, x / 2) for x in xs]
         outside = [(-x / 2, -x / 2) for x in xs[1:]]
     else:

@@ -86,7 +86,9 @@ class MomentAccumulator:
     @classmethod
     def from_block(cls, rows) -> "MomentAccumulator":
         """The accumulator of a (count, dim) block of rows, in one vectorized
-        two-pass step instead of count calls to update."""
+        two-pass step instead of count calls to update.  Both passes are taken
+        about the first row, so a column constant over the block has a
+        co-moment of exactly 0, not float residue."""
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
             raise CondCltError(f"block shape {rows.shape}, expected (count, dim)")
@@ -94,8 +96,10 @@ class MomentAccumulator:
         if len(rows) == 0:
             return out
         out.count = len(rows)
-        out.mean = rows.mean(axis=0)
-        dev = rows - out.mean
+        dev = rows - rows[0]
+        shift = dev.mean(axis=0)
+        out.mean = rows[0] + shift
+        dev -= shift
         out.comoment = dev.T @ dev
         return out
 

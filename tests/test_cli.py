@@ -47,6 +47,17 @@ class TestAnalyticSubcommands:
         assert time.perf_counter() - start < 2.0
         assert "monotone: PASS (241/241 checks passed, wall = " in capsys.readouterr().out
 
+    def test_monotone_names_the_skipped_degree_chain(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli("monotone", "--n", "8", "--max-m", "3", "--out", str(out)) == cli.EXIT_OK
+        assert "monotone: PASS (" in capsys.readouterr().out
+        assert cli.parse_report(str(out)).skipped == [{
+            "gate": "degree chain",
+            "reason": "v = 7, 8: G(7, m) enumerates up to 352,716 graphs "
+                      "and G(8, m) passes the enumeration cap"}]
+        assert run_cli("monotone", "--n", "6", "--max-m", "3", "--out", str(out)) == cli.EXIT_OK
+        assert cli.parse_report(str(out)).skipped == []
+
     def test_failing_check_fails_the_run(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(monotone, "check_stochastic_dominance",
                             lambda d1, d2: (False, 0.0))

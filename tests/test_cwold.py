@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -250,6 +252,33 @@ class TestExactDecision:
         y = cwold.pair(TRI(2.0), PER())
         with pytest.raises(CondCltError, match="share a factor"):
             cwold.quadrant_decision(x, y)
+
+    @pytest.mark.parametrize("scale", [10**4, 10**9])
+    def test_cost_does_not_grow_with_the_scales(self, scale):
+        # a periodic factor is probed only within one period of 0 and of each
+        # triangular scale, so a difference scale of 1e9 costs what 1 does
+        x, y = cwold.pair(TRI(), TRI(scale)), cwold.pair(TRI(), PER())
+        start = time.perf_counter()
+        quadrant, off = cwold.quadrant_decision(x, y)
+        assert time.perf_counter() - start < 0.1
+        assert quadrant == ((Fraction(1, 2), 0), Fraction(scale - 1, 4 * scale))
+        assert off == ((Fraction(scale, 2) + 1, -Fraction(scale, 2) - 1), -1)
+
+    def test_matches_a_scan_in_eighths(self):
+        # shared sum factor of scale a, difference factors TRI(d) and PER: g is
+        # linear between multiples of 1/4, so every multiple of 1/8 in
+        # [0, max(a, d) + 3] decides where it vanishes and its largest |g|;
+        # d = 1 and a <= 1 give the pairs equal on the quadrant
+        quarters = [Fraction(k, 4) for k in range(1, 25)]
+        for a, d in itertools.product(quarters, quarters[::3]):
+            x, y = cwold.pair(TRI(float(a)), TRI(float(d))), cwold.pair(TRI(float(a)), PER())
+            xs = [Fraction(k, 8) for k in range(1, int(8 * (max(a, d) + 3)) + 1)]
+            quadrant, off = cwold.quadrant_decision(x, y)
+            zero_inside = all(cwold.exact_difference(x, y, t, 0) == 0
+                              for t in [Fraction(0), *xs] if t < a)
+            assert (quadrant is None) == zero_inside
+            assert abs(off[1]) == max(abs(cwold.exact_difference(x, y, t / 2, -t / 2))
+                                      for t in xs)
 
 
 TRIANGLES = st.fractions(Fraction(1, 6), 4, max_denominator=6).map(lambda a: TRI(float(a)))

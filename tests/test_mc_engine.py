@@ -124,6 +124,21 @@ class TestFromBlock:
         for name in ("mean", "comoment"):
             _assert_rel_close(getattr(block, name), getattr(seq, name))
 
+    def test_constant_column_has_zero_comoment(self):
+        # a standardized count that never varies: its co-moments are exactly 0,
+        # not float residue, so its mean SE is 0 and its mean z is infinite
+        rows = np.random.default_rng(5).normal(size=(300, 3))
+        rows[:, 1] = -0.1 * math.sqrt(3) / 0.7
+        acc = mc.MomentAccumulator.from_block(rows)
+        assert acc.mean[1] == rows[0, 1]
+        assert not acc.comoment[1].any() and not acc.comoment[:, 1].any()
+        run = mc.ExperimentRun(model="alloc", params={"n": 4, "m": 3, "max_k": 2},
+                               reps=300, seed=0, acc=acc, samples=rows)
+        for theory, z in ((0.0, -math.inf), (-1.0, math.inf)):
+            report = mc.compare_to_theory(run, [0.0, theory, 0.0], np.eye(3))
+            entry = next(e for e in report.entries if e.kind == "mean" and e.i == 1)
+            assert entry.stderr == 0.0 and entry.z == z
+
     def test_empty_block(self):
         acc = mc.MomentAccumulator.from_block(np.empty((0, 3)))
         assert acc.count == 0 and acc.dim == 3
