@@ -10,7 +10,9 @@ Modules:
 - ``simulators``: one exact finite-n replicate sampler per model.
 - ``monotone``: exact occupancy laws and stochastic-monotonicity verification.
 - ``mc_engine``: replicated Monte Carlo harness that takes every moment from
-  the sample matrix by one formula, and its theory gates.
+  the sample matrix by one formula, and its theory gates.  Each sampling model's
+  params, lambda_n, draw and load range live in its ``EXPERIMENT_MODELS``
+  record, so adding a model means one record plus its theory.
 - ``cwold``: closed-form characteristic-function bench for the one-sided
   uniqueness question.
 - ``cli``: batch experiment runner (``condclt`` entry point).

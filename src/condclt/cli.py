@@ -28,6 +28,10 @@ EXIT_GATE_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_ERROR = 3
 
+SAMPLING_HELP = {"alloc": "balls-into-boxes occupancy counts", "gnp": "G(n,p) degree counts",
+                 "gnm": "G(n,m) degree counts", "spacings": "uniform spacings exceedance counts"}
+RUN_OPTIONS = {"config", "experiment", "out", "table", "seed", "reps", "z_gate", "ks_gate",
+               "workers", "dump"}
 TABLE_HEADER = ["experiment", "entry_i", "entry_j", "theory", "estimate", "stderr", "z"]
 CHECK_TABLE_HEADER = ["experiment", "name", "value", "bound", "passed"]
 MIN_TOTAL_COUNT = 20        # fewest expected counts of a marginal over all replicates
@@ -100,28 +104,18 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
                 help="worker processes, at most the usable CPUs (does not affect results)")
             arg(p, "--dump", help="binary dump path for raw count vectors")
 
-    p = sub.add_parser("alloc", help="balls-into-boxes occupancy counts")
-    arg(p, "--n", type=int, required=True, help="number of boxes")
-    arg(p, "--m", type=int, required=True, help="number of balls")
-    arg(p, "--max-k", type=int, default=5, help="largest tracked count index")
-    common(p)
-
-    p = sub.add_parser("gnp", help="G(n,p) degree counts")
-    arg(p, "--n", type=int, required=True)
-    arg(p, "--p", type=float, required=True)
-    arg(p, "--max-k", type=int, default=8)
-    common(p)
-
-    p = sub.add_parser("gnm", help="G(n,m) degree counts")
-    arg(p, "--n", type=int, required=True)
-    arg(p, "--m", type=int, required=True)
-    arg(p, "--max-k", type=int, default=8)
-    common(p)
-
-    p = sub.add_parser("spacings", help="uniform spacings exceedance counts")
-    arg(p, "--n", type=int, required=True)
-    arg(p, "--a", type=float, default=1.0, help="threshold multiple of 1/n")
-    common(p)
+    # each sampling param's option, and a model's own changes to it: alloc
+    # names its options and tracks k <= 5
+    opts = {"n": dict(type=int, required=True), "m": dict(type=int, required=True),
+            "p": dict(type=float, required=True), "max_k": dict(type=int, default=8),
+            "a": dict(type=float, default=1.0, help="threshold multiple of 1/n")}
+    own = {"alloc": {"n": dict(help="number of boxes"), "m": dict(help="number of balls"),
+                     "max_k": dict(default=5, help="largest tracked count index")}}
+    for model, record in mc_engine.EXPERIMENT_MODELS.items():
+        p = sub.add_parser(model, help=SAMPLING_HELP[model])
+        for name in record.params:
+            arg(p, "--" + name.replace("_", "-"), **(opts[name] | own.get(model, {}).get(name, {})))
+        common(p)
 
     p = sub.add_parser("transfer", help="analytic G(n,p) -> G(n,m) covariance transfer")
     arg(p, "--lam", type=float, default=2.0)
@@ -139,7 +133,7 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
 
 def _theory_for(model: str, params: dict) -> tuple[np.ndarray, np.ndarray]:
-    if model == "spacings":
+    if mc_engine.EXPERIMENT_MODELS[model].lambda_n is None:      # spacings
         residual = limit_theory.spacings_limit_constants(params["a"]).residual
         return np.zeros(1), np.array([[residual]])
     lam = mc_engine.model_lambda_n(model, params)
@@ -148,28 +142,16 @@ def _theory_for(model: str, params: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _params(args) -> dict:
-    """The report's params: the experiment's own options, by dest."""
-    names = {"alloc": ("n", "m", "max_k"), "gnm": ("n", "m", "max_k"),
-             "gnp": ("n", "p", "max_k"), "spacings": ("n", "a"), "transfer": ("lam", "K"),
-             "monotone": ("n", "max_m"), "cwold": ()}[args.experiment]
-    return {name: getattr(args, name) for name in names}
+    """The report's params: every parsed option but the run's, by dest."""
+    return {name: value for name, value in vars(args).items() if name not in RUN_OPTIONS}
 
 
 def _point_mass_ks(model: str, params: dict) -> list[int]:
     """The k <= max_k whose count takes one value in every outcome of the
-    finite-n model: every k for one box, one ball, one vertex, the complete
-    graph or one edge short of it, and a k no box load or vertex degree reaches
-    (a vertex meets at least m - C(n-1,2) edges: at most C(n-1,2) miss it)."""
-    n, m = params["n"], params.get("m")
-    if model == "alloc":
-        fixed = n == 1 or m == 1
-        low, high = 0, m
-    elif model == "gnp":
-        fixed = n == 1 or params["p"] == 1.0
-        low, high = 0, n - 1
-    else:
-        fixed = m == 1 or m >= n * (n - 1) // 2 - 1
-        low, high = m - (n - 1) * (n - 2) // 2, min(n - 1, m)
+    finite-n model: every k when the model's load range says the whole vector
+    is fixed (one box, one ball, one vertex, the complete graph or one edge
+    short of it), and a k no box load or vertex degree reaches."""
+    fixed, low, high = mc_engine.EXPERIMENT_MODELS[model].load_range(params)
     return [k for k in range(params["max_k"] + 1) if fixed or not low <= k <= high]
 
 
@@ -183,7 +165,7 @@ def check_args(args) -> None:
         if not mc_engine.MIN_REPS <= args.reps < mc_engine.INT64_END:
             raise ValueError(f"reps must be >= {mc_engine.MIN_REPS} and below 2**63, "
                              f"got {args.reps}")
-        if args.experiment == "spacings":
+        if mc_engine.EXPERIMENT_MODELS[args.experiment].lambda_n is None:     # spacings
             # below one expected exceedance (or non-exceedance) nearly every
             # count is 0 (or n), and the sample variance is 0
             above = args.n * math.exp(-args.a)

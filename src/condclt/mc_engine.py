@@ -14,14 +14,44 @@ from __future__ import annotations
 
 import math
 import time
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import limit_theory, simulators
 from .errors import CondCltError
 
-EXPERIMENT_MODELS = ("alloc", "gnp", "gnm", "spacings")
+
+class SamplingModel(NamedTuple):
+    """One sampling model's facts; each function takes the model's params dict.  A
+    draw looks its kernel up in simulators when called, so a wrapper put there sees it."""
+    params: tuple[str, ...]         # in report order
+    lambda_n: Callable | None       # lambda_n of its Poisson limit; None for spacings
+    draw: Callable                  # (params, rng) -> the loads, or the spacings count
+    load_range: Callable | None     # (whole vector fixed, least load, largest load)
+
+
+EXPERIMENT_MODELS = {
+    "alloc": SamplingModel(
+        ("n", "m", "max_k"), lambda p: p["m"] / p["n"],
+        lambda p, rng: simulators.allocation_loads(p["n"], p["m"], rng),
+        lambda p: (p["n"] == 1 or p["m"] == 1, 0, p["m"])),
+    # G(n,p) is a Bin(C(n,2), p) edge count, then a uniform edge subset of that
+    # size: the same law as independent edges
+    "gnp": SamplingModel(
+        ("n", "p", "max_k"), lambda p: p["n"] * p["p"],
+        lambda p, rng: simulators.degree_loads(
+            p["n"], int(rng.binomial(p["n"] * (p["n"] - 1) // 2, p["p"])), rng),
+        lambda p: (p["n"] == 1 or p["p"] == 1.0, 0, p["n"] - 1)),
+    # a vertex meets at least m - C(n-1,2) edges: at most C(n-1,2) miss it
+    "gnm": SamplingModel(
+        ("n", "m", "max_k"), lambda p: 2 * p["m"] / p["n"],
+        lambda p, rng: simulators.degree_loads(p["n"], p["m"], rng),
+        lambda p: (p["m"] == 1 or p["m"] >= p["n"] * (p["n"] - 1) // 2 - 1,
+                   p["m"] - (p["n"] - 1) * (p["n"] - 2) // 2, min(p["n"] - 1, p["m"]))),
+    "spacings": SamplingModel(("n", "a"), None, lambda p, rng: simulators.spacing_exceedances(
+        p["n"], p["a"], rng), None),
+}
 DEFAULT_Z_GATE = 4.0
 DEFAULT_KS_GATE = 0.05
 DEFAULT_N_BATCHES = 20
@@ -119,21 +149,24 @@ class MomentAccumulator:
         return 0.5 * (cov + cov.T)
 
 
+def _model(model: str) -> SamplingModel:
+    if model not in EXPERIMENT_MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {tuple(EXPERIMENT_MODELS)}")
+    return EXPERIMENT_MODELS[model]
+
+
 def model_lambda_n(model: str, params: dict) -> float:
     """Finite-n centering parameter: m/n for allocations, n p or 2m/n for graphs."""
-    if model == "alloc":
-        return params["m"] / params["n"]
-    if model == "gnp":
-        return params["n"] * params["p"]
-    if model == "gnm":
-        return 2 * params["m"] / params["n"]
-    raise ValueError(f"no lambda_n for model {model!r}")
+    lambda_n = _model(model).lambda_n
+    if lambda_n is None:
+        raise ValueError(f"no lambda_n for model {model!r}")
+    return lambda_n(params)
 
 
 def standardization_for(model: str, params: dict) -> StandardizationSpec:
     """Centering/scaling sequences for the implemented experiments."""
-    n = params["n"]
-    if model == "spacings":
+    record, n = _model(model), params["n"]
+    if record.lambda_n is None:
         b = np.array([n * math.exp(-params["a"])])
     else:
         lam_n = model_lambda_n(model, params)
@@ -145,12 +178,14 @@ def standardization_for(model: str, params: dict) -> StandardizationSpec:
 
 def check_params(model: str, params: dict, seed: int) -> None:
     """Raise ValueError for parameters that no experiment can be run with."""
-    if model not in EXPERIMENT_MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {EXPERIMENT_MODELS}")
+    names = _model(model).params
+    missing, unexpected = [k for k in names if k not in params], sorted(params.keys() - names)
+    if missing or unexpected:
+        raise ValueError(f"{model} params: missing {missing}, unexpected {unexpected}")
     n = params["n"]
     if not 1 <= n < INT64_END:
         raise ValueError(f"n must be >= 1 and below 2**63, got {n}")
-    if model in ("alloc", "gnm") and not 0 <= params["m"] < INT64_END:
+    if "m" in params and not 0 <= params["m"] < INT64_END:
         raise ValueError(f"m must be >= 0 and below 2**63, got {params['m']}")
     if model == "gnm" and params["m"] > n * (n - 1) // 2:
         raise ValueError(f"m = {params['m']} exceeds C(n,2) = {n * (n - 1) // 2}")
@@ -158,18 +193,18 @@ def check_params(model: str, params: dict, seed: int) -> None:
     if model in ("gnm", "gnp") and n > MAX_GRAPH_N:
         raise ValueError(f"n must be at most {MAX_GRAPH_N}, where (2n-1)^2 still fits in "
                          f"int64, got {n}")
-    if model == "gnp" and not 0.0 <= params["p"] <= 1.0:
+    if "p" in params and not 0.0 <= params["p"] <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {params['p']}")
-    if model == "spacings" and not params["a"] > 0.0:
+    if "a" in params and not params["a"] > 0.0:
         raise ValueError(f"a must be positive, got {params['a']}")
-    if model != "spacings" and params["max_k"] < 0:
+    if "max_k" in params and params["max_k"] < 0:
         raise ValueError(f"max_k must be >= 0, got {params['max_k']}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def replicate_dim(model: str, params: dict) -> int:
-    return 1 if model == "spacings" else params["max_k"] + 1
+    return params["max_k"] + 1 if "max_k" in _model(model).params else 1
 
 
 def _uint32_words(x: int) -> list[int]:
@@ -267,28 +302,15 @@ def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
     load kernel and counted up to max_k (for spacings, one spacing_exceedances
     count); returns the rows, the stream-derivation time and the total time."""
     start = time.perf_counter()
-    dim = replicate_dim(model, params)
-    n = params["n"]
-    if model == "spacings":
-        def draw(rng):
-            return simulators.spacing_exceedances(n, params["a"], rng)
-    else:
-        kernel = simulators.allocation_loads if model == "alloc" else simulators.degree_loads
-        c = n * (n - 1) // 2
-
-        # G(n,p) is a Bin(C(n,2), p) edge count, then a uniform edge subset of
-        # that size: the same law as independent edges
-        def draw(rng):
-            m = int(rng.binomial(c, params["p"])) if model == "gnp" else params["m"]
-            return np.bincount(kernel(n, m, rng), minlength=dim)[:dim]
-
-    np.empty(min(_HEAP_BLOCK_PER_ITEM * max(n, params.get("m", 0)), _HEAP_BLOCK_MAX),
+    dim, record = replicate_dim(model, params), _model(model)
+    np.empty(min(_HEAP_BLOCK_PER_ITEM * max(params["n"], params.get("m", 0)), _HEAP_BLOCK_MAX),
              dtype=np.uint8)
     out = np.empty((hi - lo, dim), dtype=np.int64)
     sampling_s = 0.0
     for row, rng in enumerate(_replicate_rngs(seed, lo, hi)):
         t = time.perf_counter()
-        out[row] = draw(rng)
+        x = record.draw(params, rng)
+        out[row] = x if record.lambda_n is None else np.bincount(x, minlength=dim)[:dim]
         sampling_s += time.perf_counter() - t
     elapsed = time.perf_counter() - start
     return out, elapsed - sampling_s, elapsed

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -584,6 +585,10 @@ class TestCheckParams:
         ("alloc", {"n": 10, "m": 10, "max_k": -1}, 0),
         ("alloc", {"n": 10, "m": 10, "max_k": 3}, -1),
         ("poisson", {"n": 10}, 0),
+        ("poisson", {"n": 10, "m": 10, "max_k": 3}, 0),
+        ("gnp", {"n": 100, "m": 50, "max_k": 3}, 0),
+        ("alloc", {"n": 10, "m": 10}, 0),
+        ("spacings", {"n": 1000, "a": 1.0, "max_k": 4}, 0),
     ])
     def test_rejects(self, model, params, seed):
         with pytest.raises(ValueError):
@@ -599,3 +604,25 @@ class TestCheckParams:
     ])
     def test_accepts_boundary_values(self, model, params):
         mc.check_params(model, params, 0)
+
+    @pytest.mark.parametrize("model,params,message", [
+        ("gnp", {"n": 100, "m": 50, "max_k": 3}, "gnp params: missing ['p'], unexpected ['m']"),
+        ("spacings", {"n": 1000, "a": 1.0, "max_k": 4},
+         "spacings params: missing [], unexpected ['max_k']"),
+        ("alloc", {"n": 10, "m": 10}, "alloc params: missing ['max_k'], unexpected []"),
+    ])
+    def test_names_missing_and_unexpected_keys(self, model, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            mc.check_params(model, params, 0)
+
+    @pytest.mark.parametrize("helper", [
+        lambda model, params: mc.check_params(model, params, 0),
+        mc.model_lambda_n, mc.standardization_for, mc.replicate_dim,
+        lambda model, params: mc.run_experiment(model, params, reps=200, seed=0),
+    ], ids=["check_params", "model_lambda_n", "standardization_for", "replicate_dim",
+            "run_experiment"])
+    def test_every_helper_rejects_an_unknown_model(self, helper):
+        message = ("unknown model 'poisson'; expected one of "
+                   "('alloc', 'gnp', 'gnm', 'spacings')")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            helper("poisson", {"n": 3, "max_k": 2})

@@ -246,12 +246,13 @@ class TestEdgeDraw:
         # counts O_e of K draws give sum (O_e - Kp)^2 (c-1) / (c K p (1-p)),
         # asymptotically chi-squared with c - 1 degrees of freedom.  The first
         # and last index, where an off-by-one in the draw's range lands, are
-        # also z-tested on their own.
-        n, m, want = 30, 261, 600
+        # also z-tested on their own: 1200 draws catch a refill that draws from
+        # [0, c - 1), whose last index reads z = -6.0 here (600 draws read -3.6).
+        n, m, want = 30, 261, 1200
         c = n * (n - 1) // 2
         spy = IntegersSpy(rng_for(29))
         counts, kept = np.zeros(c, dtype=np.int64), 0
-        for _ in range(60_000):
+        for _ in range(200_000):
             spy.calls = 0
             idx = sim._sample_edge_indices(n, m, spy)
             if spy.calls > 1:
