@@ -82,22 +82,21 @@ _POOL_SIZE = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-class StandardizationSpec:
+class StandardizationSpec(NamedTuple):
     """Affine standardization (x - b_n)/a_n of a count vector."""
-
-    def __init__(self, a_n: float, b_n):
-        if not a_n > 0:
-            raise ValueError(f"a_n must be positive, got {a_n}")
-        self.a_n = a_n
-        self.b_n = np.asarray(b_n, dtype=float)
+    a_n: float
+    b_n: np.ndarray
 
 
 def standardize(x, spec: StandardizationSpec) -> np.ndarray:
-    """(x - b_n)/a_n for one count vector or an (R, dim) matrix of count rows."""
-    shape = np.shape(x)
-    if len(shape) not in (1, 2) or shape[-1:] != spec.b_n.shape:
-        raise CondCltError(f"x shape {shape} does not end in b_n shape {spec.b_n.shape}")
-    out = np.subtract(x, spec.b_n, dtype=float)
+    """(x - b_n)/a_n for one count vector or an (R, dim) matrix of count rows;
+    a_n must be positive."""
+    if not spec.a_n > 0:
+        raise ValueError(f"a_n must be positive, got {spec.a_n}")
+    shape, b_n = np.shape(x), np.asarray(spec.b_n, dtype=float)
+    if len(shape) not in (1, 2) or shape[-1:] != b_n.shape:
+        raise CondCltError(f"x shape {shape} does not end in b_n shape {b_n.shape}")
+    out = np.subtract(x, b_n, dtype=float)
     out /= spec.a_n
     return out
 
@@ -316,21 +315,17 @@ def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):
     return out, elapsed - sampling_s, elapsed
 
 
-class ExperimentRun:
+class ExperimentRun(NamedTuple):
     """Replicated experiment output: the standardized sample matrix
     (reps x dim), its moments and the wall time of each phase."""
-
-    def __init__(self, model: str, params: dict, reps: int, seed: int,
-                 acc: MomentAccumulator, samples: np.ndarray, wall_time: float = 0.0,
-                 timings: dict | None = None):
-        self.model = model
-        self.params = params
-        self.reps = reps
-        self.seed = seed
-        self.acc = acc
-        self.samples = samples
-        self.wall_time = wall_time
-        self.timings = {} if timings is None else timings
+    model: str
+    params: dict
+    reps: int
+    seed: int
+    acc: MomentAccumulator
+    samples: np.ndarray
+    wall_time: float = 0.0
+    timings: dict | None = None
 
 
 def run_experiment(model: str, params: dict, reps: int, seed: int, workers: int = 1,
@@ -479,7 +474,7 @@ def compare_to_theory(run: ExperimentRun, theory_mean, theory_cov,
     report = VerificationReport(
         experiment=run.model, params=run.params, seed=run.seed,
         z_gate=z_gate, ks_gate=DEFAULT_KS_GATE, wall_time=run.wall_time,
-        timings=dict(run.timings),
+        timings=dict(run.timings or {}),
     )
     cov = run.acc.covariance()
     mean_se = np.sqrt(np.maximum(np.diag(cov), 0.0) / run.acc.count)

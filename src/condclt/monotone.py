@@ -3,8 +3,9 @@
 Exact laws, by big-integer counting, of the occupancy counts N_k (empty
 boxes: N_0) at any n and m and of desk-scale allocation/graph count vectors;
 a first-order stochastic dominance checker and the quantile coupling.  Every
-law carries its masses as integers over their sum, so dominance and the
-coupling are decided in integer arithmetic, with no tolerance.
+law is a dict from value to integer weight, its masses the weights over their
+sum, so dominance and the coupling are decided in integer arithmetic, with no
+tolerance.
 """
 
 from __future__ import annotations
@@ -20,27 +21,11 @@ import numpy as np
 from .errors import CondCltError
 
 
-class FiniteDistribution:
-    """Finitely supported law: a strictly increasing support and non-negative
-    integer weights, not all 0; the mass at ``support[i]`` is
-    ``weights[i] / total``."""
-
-    def __init__(self, support, weights):
-        self.support = tuple(float(x) for x in support)
-        self.weights = tuple(weights)
-        if len(self.support) != len(self.weights):
-            raise ValueError("support and weights must have equal length")
-        if not all(a < b for a, b in zip(self.support, self.support[1:])):
-            raise ValueError("support must be strictly increasing")
-        if not all(type(w) is int and w >= 0 for w in self.weights) or not any(self.weights):
-            raise ValueError("weights must be non-negative ints, not all 0")
-        self.total = sum(self.weights)
-
-
-def from_weights(pairs: dict[float, int]) -> FiniteDistribution:
-    """The law of a value -> integer weight map, without its zero weights."""
-    support = sorted(x for x, w in pairs.items() if w)
-    return FiniteDistribution(support, [pairs[x] for x in support])
+def _total(law: dict) -> int:
+    """The sum of a law's weights, which must be non-negative ints, not all 0."""
+    if not all(type(w) is int and w >= 0 for w in law.values()) or not any(law.values()):
+        raise ValueError("weights must be non-negative ints, not all 0")
+    return sum(law.values())
 
 
 def occupancy_count_law(n: int, m: int, k: int) -> dict[int, int]:
@@ -55,31 +40,30 @@ def occupancy_count_law(n: int, m: int, k: int) -> dict[int, int]:
             for j in range(len(filled))}
 
 
-def exact_empty_box_law(n: int, m: int) -> FiniteDistribution:
-    """Exact law of the number of empty boxes: occupancy_count_law at k = 0."""
-    return from_weights(occupancy_count_law(n, m, 0))
+def exact_empty_box_law(n: int, m: int) -> dict[float, int]:
+    """Exact law of the number of empty boxes: occupancy_count_law at k = 0,
+    without its zero weights."""
+    return {float(j): w for j, w in occupancy_count_law(n, m, 0).items() if w}
 
 
-def check_stochastic_dominance(d1: FiniteDistribution, d2: FiniteDistribution):
+def check_stochastic_dominance(d1: dict, d2: dict):
     """First-order check: does d2 dominate d1 (d1 stochastically smaller)?
 
     True iff CDF1(x) >= CDF2(x) at every union support point, compared
     exactly as W1(x) * total2 >= W2(x) * total1 with W the integer weight at
     or below x; on failure the first witnessing x is returned.
     """
-    t1, t2 = d1.total, d2.total
-    w1 = dict(zip(d1.support, d1.weights))
-    w2 = dict(zip(d2.support, d2.weights))
+    t1, t2 = _total(d1), _total(d2)
     c1 = c2 = 0
-    for x in sorted(w1.keys() | w2.keys()):
-        c1 += w1.get(x, 0)
-        c2 += w2.get(x, 0)
+    for x in sorted(d1.keys() | d2.keys()):
+        c1 += d1.get(x, 0)
+        c2 += d2.get(x, 0)
         if c1 * t2 < c2 * t1:
             return False, x
     return True, None
 
 
-def quantile_coupling(d1: FiniteDistribution, d2: FiniteDistribution):
+def quantile_coupling(d1: dict, d2: dict):
     """Inverse-CDF coupling of d1 (smaller) and d2 (larger).
 
     Returns atoms (x1, x2, mass) with x1 <= x2 on every atom and exact
@@ -90,12 +74,13 @@ def quantile_coupling(d1: FiniteDistribution, d2: FiniteDistribution):
         raise CondCltError(f"dominance fails at x = {witness}")
     # the CDFs on the common scale t1 * t2, where every mass is an integer; an
     # atom for each step between consecutive values either CDF takes
-    scale = d1.total * d2.total
-    cdf1 = list(itertools.accumulate(w * d2.total for w in d1.weights))
-    cdf2 = list(itertools.accumulate(w * d1.total for w in d2.weights))
+    t1, t2 = _total(d1), _total(d2)
+    x1, x2 = sorted(d1), sorted(d2)
+    cdf1 = list(itertools.accumulate(d1[x] * t2 for x in x1))
+    cdf2 = list(itertools.accumulate(d2[x] * t1 for x in x2))
     cuts = sorted((set(cdf1) | set(cdf2)) - {0})
-    return [(d1.support[bisect.bisect_left(cdf1, b)], d2.support[bisect.bisect_left(cdf2, b)],
-             Fraction(b - a, scale)) for a, b in zip([0] + cuts, cuts)]
+    return [(x1[bisect.bisect_left(cdf1, b)], x2[bisect.bisect_left(cdf2, b)],
+             Fraction(b - a, t1 * t2)) for a, b in zip([0] + cuts, cuts)]
 
 
 # -- desk-scale exact laws of count vectors ------------------------------------
@@ -138,10 +123,9 @@ def gnm_count_law(n: int, m: int) -> dict[tuple, int]:
     return Counter(map(tuple, enumerate_gnm_degree_counts(n, m).tolist()))
 
 
-def functional_law(law: dict[tuple, int], fn) -> FiniteDistribution:
+def functional_law(law: dict[tuple, int], fn) -> dict[float, int]:
     """Exact law of a scalar functional of the count vector."""
     weights = Counter()
     for key, w in law.items():
         weights[float(fn(np.array(key)))] += w
-    return from_weights(weights)
-
+    return dict(weights)

@@ -79,7 +79,7 @@ class TestAnalyticSubcommands:
         def crossing(d1, d2):
             # the vertices of degree 0 in G(2, 1) and G(2, 0): point masses at 0 and 2
             atoms = real_coupling(d1, d2)
-            swap = (d1.support, d2.support) == ((0.0,), (2.0,))
+            swap = (list(d1), list(d2)) == ([0.0], [2.0])
             return [(x2, x1, p) for x1, x2, p in atoms] if swap else atoms
 
         if fault == "crossing-coupling":        # dominance holds, but an atom has x1 > x2

@@ -15,48 +15,21 @@ from condclt.errors import CondCltError
 
 
 def point_mass(x):
-    return mono.FiniteDistribution([x], [1])
-
-
-class TestFiniteDistribution:
-    @pytest.mark.parametrize("support,weights", [
-        ([0.0, 1.0], [1]),
-        ([1.0, 0.0], [1, 1]),
-        ([0.0, 1.0], [3, -1]),
-        ([0.0, 1.0], [0, 0]),
-    ], ids=["length", "order", "negative", "mass"])
-    def test_rejects_bad_input(self, support, weights):
-        with pytest.raises(ValueError):
-            mono.FiniteDistribution(support, weights)
-
-    def test_checks_survive_optimize_flag(self):
-        src = os.path.dirname(os.path.dirname(mono.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        code = ("from condclt.monotone import FiniteDistribution\n"
-                "try:\n"
-                "    FiniteDistribution([1.0, 0.0], [1, 1])\n"
-                "except ValueError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
-        assert out.returncode == 0
+    return {float(x): 1}
 
 
 class TestExactEmptyBoxLaw:
     def test_one_ball_two_boxes(self):
         law = mono.exact_empty_box_law(2, 1)
-        assert law.support == (1.0,)
-        assert law.weights == (2,)
+        assert law == {1.0: 2}
 
     def test_two_balls_two_boxes(self):
         law = mono.exact_empty_box_law(2, 2)
-        assert law.support == (0.0, 1.0)
-        assert law.weights == (2, 2)
+        assert law == {0.0: 2, 1.0: 2}
 
     def test_two_balls_three_boxes(self):
         law = mono.exact_empty_box_law(3, 2)
-        assert law.support == (1.0, 2.0)
-        assert law.weights == (6, 3)
+        assert law == {1.0: 6, 2.0: 3}
 
     def test_against_brute_force_enumeration(self):
         # the empty-box marginal of the occupancy-vector law (brute-force checked by
@@ -64,7 +37,7 @@ class TestExactEmptyBoxLaw:
         for n, m in [*itertools.product([2, 3], range(5)), (9, 0), (9, 5), (10, 4)]:
             law = mono.exact_empty_box_law(n, m)
             vectors = mono.functional_law(mono.allocation_count_law(n, m), lambda c: c[0])
-            assert (law.support, law.weights) == (vectors.support, vectors.weights)
+            assert law == vectors
 
     def test_out_of_range(self):
         # the law's domain, its only bound on n and m; k = 0 through the empty-box law
@@ -202,14 +175,18 @@ def criterion_7_pairs():
 
 
 def masses(d):
-    return {x: Fraction(w, d.total) for x, w in zip(d.support, d.weights)}
+    return {x: Fraction(w, sum(d.values())) for x, w in d.items()}
+
+
+BAD_WEIGHTS = {"negative": (-1, 2, 2), "all-zero": (0, 0, 0), "float": (1.0, 1, 1),
+               "bool": (True, 1, 1)}
 
 
 class TestExactDominance:
     def test_two_to_the_minus_52_crossing_is_caught(self):
         # the CDFs cross the wrong way by 2.2e-16
-        d1 = mono.FiniteDistribution([0.0, 1.0], [1, 1])
-        d2 = mono.FiniteDistribution([0.0, 1.0], [2**51 + 1, 2**51 - 1])
+        d1 = {0.0: 1, 1.0: 1}
+        d2 = {0.0: 2**51 + 1, 1.0: 2**51 - 1}
         assert mono.check_stochastic_dominance(d1, d2) == (False, 0.0)
         with pytest.raises(CondCltError, match="dominance fails at x = 0.0"):
             mono.quantile_coupling(d1, d2)
@@ -217,14 +194,43 @@ class TestExactDominance:
 
     def test_exact_laws_carry_their_integer_counts(self):
         law = mono.exact_empty_box_law(4, 3)      # 4 * 3!, C(4, 2) * (2^3 - 2) and 4 throws
-        assert law.total == 4**3
-        assert (law.support, law.weights) == ((1.0, 2.0, 3.0), (24, 36, 4))
+        assert sum(law.values()) == 4**3
+        assert law == {1.0: 24, 2.0: 36, 3.0: 4}
 
-    @pytest.mark.parametrize("weights", [(-1, 2, 2), (0, 0, 0), (1.0, 1, 1)],
-                             ids=["negative", "all-zero", "float"])
+    # both law consumers take their laws straight from the caller
+    @pytest.mark.parametrize("weights", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS.keys())
     def test_rejects_bad_weights(self, weights):
-        with pytest.raises(ValueError):
-            mono.FiniteDistribution([0.0, 1.0, 2.0], weights)
+        bad = dict(zip([0.0, 1.0, 2.0], weights))
+        for consumer in (mono.check_stochastic_dominance, mono.quantile_coupling):
+            for pair in ((bad, point_mass(2)), (point_mass(0), bad)):
+                with pytest.raises(ValueError, match="weights must be non-negative ints"):
+                    consumer(*pair)
+
+    def test_zero_weights_change_nothing(self):
+        # a law may keep zero weights, as occupancy_count_law does: below, between
+        # and above its support they change neither verdict, witness nor coupling
+        for smaller, larger in criterion_7_pairs():
+            pair = (smaller, larger)
+            padded = tuple({-1.0: 0, **d, 0.5: 0, 99.0: 0} for d in pair)
+            assert mono.check_stochastic_dominance(*padded) == \
+                mono.check_stochastic_dominance(*pair)
+            assert mono.check_stochastic_dominance(*padded[::-1]) == \
+                mono.check_stochastic_dominance(*pair[::-1])
+            assert mono.quantile_coupling(*padded) == mono.quantile_coupling(*pair)
+
+    def test_checks_survive_optimize_flag(self):
+        src = os.path.dirname(os.path.dirname(mono.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("from condclt.monotone import check_stochastic_dominance, quantile_coupling\n"
+                f"for bad in {[dict(zip([0.0, 1.0, 2.0], w)) for w in BAD_WEIGHTS.values()]}:\n"
+                "    for consumer in (check_stochastic_dominance, quantile_coupling):\n"
+                "        try:\n"
+                "            consumer(bad, {2.0: 1})\n"
+                "        except ValueError:\n"
+                "            continue\n"
+                "        raise SystemExit(1)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+        assert out.returncode == 0
 
     def test_coupling_marginals_are_exact_on_criterion_7(self):
         for smaller, larger in criterion_7_pairs():
