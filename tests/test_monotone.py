@@ -18,6 +18,16 @@ def point_mass(x):
     return {float(x): 1}
 
 
+class TestFiniteDistribution:
+    # a finite distribution is a dict from value to integer weight; _total is the
+    # one check both law consumers run on it
+    @pytest.mark.parametrize("law", [{0.0: 3, 1.0: -1}, {0.0: 0, 1.0: 0}],
+                             ids=["negative", "mass"])
+    def test_rejects_bad_input(self, law):
+        with pytest.raises(ValueError, match="weights must be non-negative ints"):
+            mono._total(law)
+
+
 class TestExactEmptyBoxLaw:
     def test_one_ball_two_boxes(self):
         law = mono.exact_empty_box_law(2, 1)
