@@ -57,7 +57,7 @@ DEFAULT_KS_GATE = 0.05
 DEFAULT_N_BATCHES = 20
 MIN_REPS = 100              # fewest replicates compare_to_theory accepts
 KS_MIN_REPS = 1000          # fewest samples normality_distance accepts
-STREAM_BLOCK = 1024         # replicate streams derived together
+STREAM_BLOCK = 1024         # most indices one _generate_state call hashes
 MAX_GRAPH_N = 1_518_500_250     # largest n with (2n-1)^2 < 2**63; C(n,2) is smaller
 INT64_END = 1 << 63             # n, m and reps stay below it: numpy draws and sizes in int64
 # glibc gives the top of its heap back to the kernel once more than twice its
@@ -257,43 +257,33 @@ def _generate_state(entropy: np.ndarray) -> list[np.ndarray]:
     return [halves[2 * k] | halves[2 * k + 1] << 32 for k in range(4)]
 
 
-def _stream_states(seed: int, lo: int, hi: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of default_rng(SeedSequence([seed, i])) for each
-    lo <= i < hi, derived for the whole range at once."""
-    words = _uint32_words(seed)
-    states = []
-    while lo < hi:
-        # indices with the same word count share one entropy matrix
-        n_index_words = max(1, (lo.bit_length() + 31) // 32)
-        end = min(hi, 1 << (32 * n_index_words))
-        idx = np.arange(lo, end, dtype=np.uint64)
-        entropy = np.empty((end - lo, len(words) + n_index_words), dtype=np.uint32)
-        entropy[:, :len(words)] = words
-        for k in range(n_index_words):
-            entropy[:, len(words) + k] = idx >> np.uint64(32 * k) & _MASK32
-        s_hi, s_lo, q_hi, q_lo = (w.astype(object) for w in _generate_state(entropy))
-        # pcg_setseq_128_srandom_r in exact 128-bit integers
-        inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states += zip(state.tolist(), inc.tolist())
-        lo = end
-    return states
-
-
 def _replicate_rngs(seed: int, lo: int, hi: int):
     """Yield, for each lo <= i < hi, a Generator in the state of
     default_rng(SeedSequence([seed, i])).
 
     One Generator is reloaded each time (its 32-bit buffer cleared), so a
     yielded Generator is valid only until the next one is drawn."""
+    words = _uint32_words(seed)
     bitgen = np.random.PCG64()
     rng = np.random.Generator(bitgen)
     state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-    for block_lo in range(lo, hi, STREAM_BLOCK):
-        for s, inc in _stream_states(seed, block_lo, min(block_lo + STREAM_BLOCK, hi)):
+    while lo < hi:
+        # each pass hashes one block of indices that share one word count
+        n_index_words = max(1, (lo.bit_length() + 31) // 32)
+        end = min(hi, lo + STREAM_BLOCK, 1 << (32 * n_index_words))
+        idx = np.arange(lo, end, dtype=np.uint64)
+        entropy = np.empty((end - lo, len(words) + n_index_words), dtype=np.uint32)
+        entropy[:, :len(words)] = words
+        for k in range(n_index_words):
+            entropy[:, len(words) + k] = idx >> np.uint64(32 * k) & _MASK32
+        for s_hi, s_lo, q_hi, q_lo in zip(*(w.tolist() for w in _generate_state(entropy))):
+            # pcg_setseq_128_srandom_r in exact 128-bit integers
+            inc = (q_hi << 65 | q_lo << 1 | 1) & _MASK128
+            s = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
             state["state"] = {"state": s, "inc": inc}
             bitgen.state = state
             yield rng
+        lo = end
 
 
 def _compute_chunk(model: str, params: dict, seed: int, lo: int, hi: int):

@@ -195,6 +195,14 @@ class TestRunExperiment:
         serial = mc.run_experiment("alloc", params, reps=3, seed=5)
         assert run.samples.tobytes() == serial.samples.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numpy_integer_reps(self, workers):
+        # a numpy reps becomes a chunk bound, past STREAM_BLOCK twice
+        params, reps = {"n": 30, "m": 40, "max_k": 3}, 2 * mc.STREAM_BLOCK + 5
+        a = mc.run_experiment("alloc", params, reps=np.int64(reps), seed=9, workers=workers)
+        b = mc.run_experiment("alloc", params, reps=reps, seed=9, workers=workers)
+        assert a.samples.tobytes() == b.samples.tobytes()
+
     def test_too_few_reps(self):
         with pytest.raises(CondCltError, match="reps must be >= 2"):
             mc.run_experiment("alloc", {"n": 5, "m": 5, "max_k": 1}, reps=1, seed=0)
@@ -565,6 +573,26 @@ class TestStreamDerivation:
         want = [np.random.default_rng(np.random.SeedSequence([7, i])).integers(0, 2**32, size=3)
                 for i in range(lo, hi)]
         assert np.array_equal(got, want)
+
+    def test_passes_stay_within_a_block_and_a_word_count(self, monkeypatch):
+        shapes, generate_state = [], mc._generate_state
+
+        def recording(entropy):
+            shapes.append(entropy.shape)
+            return generate_state(entropy)
+
+        monkeypatch.setattr(mc, "_generate_state", recording)
+        lo, hi = 2**32 - mc.STREAM_BLOCK - 3, 2**32 + mc.STREAM_BLOCK + 3
+        start = lo
+        for i, rng in zip(range(lo, hi), mc._replicate_rngs(7, lo, hi), strict=True):
+            ref = np.random.default_rng(np.random.SeedSequence([7, i]))
+            assert rng.bit_generator.state == ref.bit_generator.state
+        # seed 7 is one word; indices below 2**32 are one more, from it two
+        for rows, cols in shapes:
+            assert rows <= mc.STREAM_BLOCK
+            assert cols == (2 if start < 2**32 else 3) == (2 if start + rows <= 2**32 else 3)
+            start += rows
+        assert start == hi
 
     def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
